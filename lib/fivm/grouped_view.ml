@@ -25,6 +25,8 @@ module P : Payload.S with type t = GF.t = struct
   let neg m = GF.KMap.map (fun v -> -.v) m
   let smul k m = GF.KMap.map (fun v -> float_of_int k *. v) m
   let is_zero m = GF.KMap.for_all (fun _ v -> v = 0.0) m
+  let copy m = m
+  let add_into = add
 end
 
 module Tree = View_tree.Make (P)

@@ -12,6 +12,13 @@ module type S = sig
       drop entries whose payload cancelled to zero, so a group that churned
       down to zero multiplicity leaves no trace — bit-matching a recompute
       that never saw the group. *)
+
+  val copy : t -> t
+  (** Shares no mutable state with the argument. *)
+
+  val add_into : t -> t -> t
+  (** [add acc d], possibly computed in place in the caller-owned [acc];
+      [d] is untouched and never aliased by the result. *)
 end
 
 module Float : S with type t = float = struct
@@ -19,6 +26,8 @@ module Float : S with type t = float = struct
 
   let smul m x = float_of_int m *. x
   let is_zero x = x = 0.0
+  let copy x = x
+  let add_into = add
 end
 
 (* The covariance ring at a fixed dimension: F-IVM's compound payload. *)
@@ -29,6 +38,11 @@ end) : S with type t = Rings.Covariance.t = struct
 
   let smul m x = Rings.Covariance.smul (float_of_int m) x
   let is_zero = Rings.Covariance.is_zero
+  let copy = Rings.Covariance.copy
+
+  let add_into acc d =
+    Rings.Covariance.add_in_place acc d;
+    acc
 end
 
 let cov n : (module S with type t = Rings.Covariance.t) =
@@ -77,6 +91,17 @@ struct
     | `Zero -> true
     | `One -> false
     | `Elem e -> C.is_zero e
+
+  let copy = function `Elem e -> `Elem (C.copy e) | x -> x
+
+  let add_into acc d =
+    match (acc, d) with
+    | `Elem x, `Elem y ->
+        C.add_in_place x y;
+        acc
+    | _, `Zero -> acc
+    | `Zero, x -> copy x
+    | _ -> add acc d
 
   let equal a b =
     match (a, b) with

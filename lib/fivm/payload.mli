@@ -11,6 +11,16 @@ module type S = sig
   (** EXACT additive-identity test (no tolerance): view trees drop entries
       whose payload cancelled to zero, so churn that nets a group to zero
       multiplicity leaves no 0-weight residue behind. *)
+
+  val copy : t -> t
+  (** A value sharing no mutable state with the argument (the identity for
+      immutable payloads). *)
+
+  val add_into : t -> t -> t
+  (** [add_into acc d] is [add acc d] bit for bit, but may reuse [acc]'s
+      storage: the caller must own [acc] and use only the result afterwards.
+      [d] is left untouched, and the result shares no mutable state with
+      it. *)
 end
 
 module Float : S with type t = float

@@ -2,23 +2,17 @@
     indexes on every join key shared with a join-tree neighbour. Strategies
     compute their view deltas against the pre-update state, then the driver
     calls {!apply} once. Multiset and indexes hash {!Keypack} keys, so
-    in-range int join keys probe as immediate ints. *)
+    in-range int join keys probe as immediate ints.
+
+    Index buckets are intrusive doubly-linked lists, so {!apply} costs the
+    same whatever the bucket sizes: a delete unlinks the tuple's cells in
+    O(1). Buckets run newest first, and a tuple that returns after reaching
+    multiplicity 0 goes back to the head. *)
 
 open Relational
 
-type entry = { mult : int ref; stamp : int }
-(** Distinct-tuple entry: multiplicity plus the insertion stamp that orders
-    {!dump} (index-list order must survive checkpoint/restore). *)
-
-type node = {
-  name : string;
-  schema : Schema.t;
-  all_positions : int array;  (** identity positions (whole-tuple key) *)
-  tuples : entry Keypack.Hybrid.t;
-      (** whole-tuple key -> live entry (multiplicity never 0) *)
-  indexes : (string * int array * Tuple.t list ref Keypack.Hybrid.t) list;
-      (** (neighbour, key positions in this schema, key -> distinct tuples) *)
-}
+type node
+(** One relation's multiset and join-key indexes. *)
 
 type t
 
@@ -26,10 +20,29 @@ val create : Database.t -> t
 (** Empty storage shaped by the database's schemas and join tree. *)
 
 val node : t -> string -> node
+(** @raise Invalid_argument on an unknown relation. *)
+
+val schema : node -> Schema.t
+
+val neighbours : node -> string list
+(** The node's join-tree neighbours, one per index. *)
+
 val multiplicity : node -> Tuple.t -> int
 
-val matching : node -> neighbour:string -> Keypack.key -> Tuple.t list
-(** Distinct tuples of the node joining with the given neighbour-edge key. *)
+val iter_matching :
+  node -> neighbour:string -> Keypack.key -> (Tuple.t -> int -> unit) -> unit
+(** [iter_matching n ~neighbour key f] calls [f tuple multiplicity] on every
+    distinct tuple of [n] joining with the given neighbour-edge key, newest
+    first, without allocating. [f] must not update the storage. *)
+
+val fold_matching :
+  node ->
+  neighbour:string ->
+  Keypack.key ->
+  (Tuple.t -> int -> 'a -> 'a) ->
+  'a ->
+  'a
+(** {!iter_matching} as a fold, in the same order. *)
 
 val key_for : node -> neighbour:string -> Tuple.t -> Keypack.key
 (** A tuple's join key towards the given neighbour (sorted attribute
@@ -37,14 +50,16 @@ val key_for : node -> neighbour:string -> Tuple.t -> Keypack.key
 
 val apply : t -> Delta.update -> unit
 (** Apply the update to the multiset and all indexes; entries reaching
-    multiplicity 0 are removed. *)
+    multiplicity 0 are removed. O(number of indexes). *)
 
 val total_tuples : t -> int
+(** Sum of the absolute multiplicities of all stored tuples. O(1). *)
+
 val join_tree : t -> Join_tree.t
 val iter_tuples : node -> (Tuple.t -> int -> unit) -> unit
 
 val dump : t -> Delta.update list
 (** Live contents as bulk inserts in insertion-stamp order (oldest first):
-    applying them to a fresh storage reproduces every index list in the
+    applying them to a fresh storage reproduces every index bucket in the
     original order, which keeps downstream float accumulation bit-identical
     (the checkpoint/restore contract). *)

@@ -67,34 +67,45 @@ module Make (P : Payload.S) = struct
      leave no 0-weight residue, or the maintained state (view_rows,
      checkpoint dumps, and the -0.0/+0.0 bits reachable through
      [children_product]) diverges from a recompute that never saw the
-     group. [P.is_zero] is exact, so near-zero accumulations survive. *)
+     group. [P.is_zero] is exact, so near-zero accumulations survive.
+
+     Ownership: a payload stored in a view is always the view's own copy,
+     so it is accumulated in place ([P.add_into]); [delta] is never stored
+     or mutated, so the caller may still pass it upward. *)
   let view_add (v : vnode) (key : Keypack.key) delta =
     match Keypack.Hybrid.find_opt v.view key with
     | Some r ->
-        let sum = P.add !r delta in
+        let sum = P.add_into !r delta in
         if P.is_zero sum then Keypack.Hybrid.remove v.view key else r := sum
-    | None -> if not (P.is_zero delta) then Keypack.Hybrid.add v.view key (ref delta)
+    | None ->
+        if not (P.is_zero delta) then
+          Keypack.Hybrid.add v.view key (ref (P.copy delta))
 
   (* Product of the children's views for a tuple of [v]'s relation, skipping
-     child [except]. [None] if some child has no matching key (no join
-     partner: the tuple currently contributes nothing). *)
+     child [except], in child order; [P.one] when no child is left, and the
+     symbolic [P.one] is never multiplied in. [None] if some child has no
+     matching key (no join partner: the tuple currently contributes
+     nothing). With a single factor the result is that child's own view
+     payload: read it, never mutate it. *)
   let children_product (v : vnode) storage tuple ~except =
     let n = Storage.node storage v.name in
-    let rec go i acc =
+    let rec go i acc started =
       if i = Array.length v.children then Some acc
-      else if i = except then go (i + 1) acc
+      else if i = except then go (i + 1) acc started
       else
         let child = v.children.(i) in
         let key = Storage.key_for n ~neighbour:child.name tuple in
         match view_get child key with
-        | Some p -> go (i + 1) (P.mul acc p)
+        | Some p -> go (i + 1) (if started then P.mul acc p else p) true
         | None -> None
     in
-    go 0 P.one
+    go 0 P.one false
 
   (* Apply one update; the delta is computed against the CURRENT storage
      (call [Storage.apply] after all trees have seen the update). Returns
-     unit; the root view is updated in place. *)
+     unit; the root view is updated in place. Every delta built here is a
+     product with a concrete lift, hence fresh: the per-key sums below
+     accumulate in place, and a delta passed upward is never mutated. *)
   let delta (t : t) (u : Delta.update) =
     (* propagate: returns the per-key view deltas produced at [v] *)
     let rec propagate (v : vnode) : (Keypack.key * P.t) list =
@@ -123,21 +134,17 @@ module Make (P : Payload.S) = struct
           let my_deltas : P.t ref Keypack.Hybrid.t = Keypack.Hybrid.create 8 in
           List.iter
             (fun (ck, d) ->
-              List.iter
-                (fun tuple ->
-                  let m = Storage.multiplicity n tuple in
-                  if m <> 0 then
-                    match children_product v t.storage tuple ~except:c with
-                    | None -> ()
-                    | Some others ->
-                        let contrib =
-                          P.mul (P.smul m (v.lift tuple)) (P.mul d others)
-                        in
-                        let key = Keypack.key_of_tuple v.key_positions tuple in
-                        (match Keypack.Hybrid.find_opt my_deltas key with
-                        | Some r -> r := P.add !r contrib
-                        | None -> Keypack.Hybrid.add my_deltas key (ref contrib)))
-                (Storage.matching n ~neighbour:child.name ck))
+              Storage.iter_matching n ~neighbour:child.name ck (fun tuple m ->
+                  match children_product v t.storage tuple ~except:c with
+                  | None -> ()
+                  | Some others -> (
+                      let contrib =
+                        P.mul (P.smul m (v.lift tuple)) (P.mul d others)
+                      in
+                      let key = Keypack.key_of_tuple v.key_positions tuple in
+                      match Keypack.Hybrid.find_opt my_deltas key with
+                      | Some r -> r := P.add_into !r contrib
+                      | None -> Keypack.Hybrid.add my_deltas key (ref contrib))))
             child_deltas;
           Keypack.Hybrid.fold
             (fun key r acc ->
@@ -149,9 +156,10 @@ module Make (P : Payload.S) = struct
     in
     ignore (propagate t.root)
 
-  (* The maintained result: the root view at the empty key ([P 0]). *)
+  (* The maintained result: a copy of the root view at the empty key
+     ([P 0]), so later in-place accumulation cannot reach the caller. *)
   let result (t : t) =
-    match view_get t.root (Keypack.P 0) with Some p -> p | None -> P.zero
+    match view_get t.root (Keypack.P 0) with Some p -> P.copy p | None -> P.zero
 
   (* From-scratch recomputation over the current storage (reference for
      tests): enumerate the join recursively through the view-tree shape. *)
@@ -197,11 +205,12 @@ module Make (P : Payload.S) = struct
      EXACT accumulated ring values, so export -> import restores the
      maintained state bit-identically (a from-scratch recomputation would
      re-associate float additions). Keys are sorted for a deterministic
-     serialisation; node names are unique (they are relation names). *)
+     serialisation; node names are unique (they are relation names). Both
+     directions copy the payloads: views accumulate in place. *)
   let export (t : t) : (string * (Keypack.key * P.t) list) list =
     let rec go (v : vnode) acc =
       let entries =
-        Keypack.Hybrid.fold (fun k r acc -> (k, !r) :: acc) v.view []
+        Keypack.Hybrid.fold (fun k r acc -> (k, P.copy !r) :: acc) v.view []
       in
       let entries =
         List.sort (fun (a, _) (b, _) -> Keypack.key_compare a b) entries
@@ -218,7 +227,8 @@ module Make (P : Payload.S) = struct
           (* skip exact-zero payloads so restoring a dump written before the
              zero-drop discipline still yields a normalised tree *)
           List.iter
-            (fun (k, p) -> if not (P.is_zero p) then Keypack.Hybrid.add v.view k (ref p))
+            (fun (k, p) ->
+              if not (P.is_zero p) then Keypack.Hybrid.add v.view k (ref (P.copy p)))
             entries
       | None -> ());
       Array.iter go v.children

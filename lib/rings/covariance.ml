@@ -18,7 +18,7 @@
 
 open Util
 
-type t = { c : float; s : Vec.t; q : Mat.t }
+type t = { mutable c : float; s : Vec.t; q : Mat.t }
 
 let dim t = Vec.dim t.s
 
@@ -26,30 +26,79 @@ let zero n = { c = 0.0; s = Vec.create n; q = Mat.create n n }
 
 let one n = { c = 1.0; s = Vec.create n; q = Mat.create n n }
 
-let add a b = { c = a.c +. b.c; s = Vec.add a.s b.s; q = Mat.add a.q b.q }
+let copy a = { c = a.c; s = Vec.copy a.s; q = Mat.copy a.q }
 
-let neg a = { c = -.a.c; s = Vec.scale (-1.0) a.s; q = Mat.scale (-1.0) a.q }
+(* The kernels below loop over the flat [float array]s of s and of Q
+   (row-major), so no float is boxed on the way. Each coordinate keeps the
+   expression and association order of the element-wise formulas, so the
+   results are bit for bit those of the textbook definitions above. *)
 
-let smul k a = { c = k *. a.c; s = Vec.scale k a.s; q = Mat.scale k a.q }
+let check_dims name a b =
+  if dim a <> dim b then invalid_arg ("Covariance." ^ name ^ ": dimension mismatch")
 
-let mul a b =
+let add a b =
+  check_dims "add" a b;
   let n = dim a in
-  let c = a.c *. b.c in
   let s = Vec.create n in
+  let as_ = a.s and bs = b.s in
   for i = 0 to n - 1 do
-    s.(i) <- (b.c *. a.s.(i)) +. (a.c *. b.s.(i))
+    s.(i) <- as_.(i) +. bs.(i)
   done;
   let q = Mat.create n n in
+  let qd = Mat.data q and aq = Mat.data a.q and bq = Mat.data b.q in
+  for k = 0 to (n * n) - 1 do
+    qd.(k) <- aq.(k) +. bq.(k)
+  done;
+  { c = a.c +. b.c; s; q }
+
+(* [a := a + b], leaving [b] untouched: bit for bit [add a b]. *)
+let add_in_place a b =
+  check_dims "add_in_place" a b;
+  a.c <- a.c +. b.c;
+  Vec.add_in_place a.s b.s;
+  Mat.add_in_place a.q b.q
+
+(* [(c, k*s, k*Q)]: the shared body of [neg] and [smul]. *)
+let scaled c k a =
+  let n = dim a in
+  let s = Vec.create n in
+  let as_ = a.s in
   for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      Mat.set q i j
-        ((b.c *. Mat.get a.q i j)
-        +. (a.c *. Mat.get b.q i j)
-        +. (a.s.(i) *. b.s.(j))
-        +. (b.s.(i) *. a.s.(j)))
-    done
+    s.(i) <- k *. as_.(i)
+  done;
+  let q = Mat.create n n in
+  let qd = Mat.data q and aq = Mat.data a.q in
+  for idx = 0 to (n * n) - 1 do
+    qd.(idx) <- k *. aq.(idx)
   done;
   { c; s; q }
+
+let neg a = scaled (-.a.c) (-1.0) a
+
+let smul k a = scaled (k *. a.c) k a
+
+let mul a b =
+  check_dims "mul" a b;
+  let n = dim a in
+  let ac = a.c and bc = b.c in
+  let as_ = a.s and bs = b.s in
+  let s = Vec.create n in
+  for i = 0 to n - 1 do
+    s.(i) <- (bc *. as_.(i)) +. (ac *. bs.(i))
+  done;
+  let q = Mat.create n n in
+  let qd = Mat.data q and aq = Mat.data a.q and bq = Mat.data b.q in
+  for i = 0 to n - 1 do
+    let asi = as_.(i) and bsi = bs.(i) and row = i * n in
+    for j = 0 to n - 1 do
+      qd.(row + j) <-
+        (bc *. aq.(row + j))
+        +. (ac *. bq.(row + j))
+        +. (asi *. bs.(j))
+        +. (bsi *. as_.(j))
+    done
+  done;
+  { c = ac *. bc; s; q }
 
 (* Lift of feature [i]'s value [x]: the ring image of a single attribute
    value (Figure 10's per-value triples, generalised with the x^2 diagonal). *)
@@ -97,17 +146,11 @@ end
    because an exactly-cancelled group is indistinguishable from one a
    recompute never saw. *)
 let is_zero a =
-  a.c = 0.0
-  &&
-  let n = dim a in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    if a.s.(i) <> 0.0 then ok := false;
-    for j = 0 to n - 1 do
-      if Mat.get a.q i j <> 0.0 then ok := false
-    done
-  done;
-  !ok
+  let all_zero (v : float array) =
+    let rec go i = i = Array.length v || (v.(i) = 0.0 && go (i + 1)) in
+    go 0
+  in
+  a.c = 0.0 && all_zero a.s && all_zero (Mat.data a.q)
 
 let equal ?(eps = 1e-7) a b =
   Float.abs (a.c -. b.c) <= eps && Vec.equal ~eps a.s b.s && Mat.equal ~eps a.q b.q

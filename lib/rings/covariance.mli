@@ -5,14 +5,25 @@
 
 open Util
 
-type t = { c : float; s : Vec.t; q : Mat.t }
+type t = { mutable c : float; s : Vec.t; q : Mat.t }
+(** [c] is mutable, and [s] and [Q] are arrays, only so that {!add_in_place}
+    can accumulate into an owned triple; every other operation returns a
+    fresh triple and leaves its arguments untouched. *)
 
 val dim : t -> int
 val zero : int -> t
 (** [zero n] for dimension [n]. *)
 
 val one : int -> t
+val copy : t -> t
+(** A triple sharing no mutable state with the argument. *)
+
 val add : t -> t -> t
+
+val add_in_place : t -> t -> unit
+(** [add_in_place a b] sets [a := a + b], bit for bit {!add}, and leaves [b]
+    untouched. *)
+
 val neg : t -> t
 val smul : float -> t -> t
 (** Scalar multiple (= repeated [add]). *)

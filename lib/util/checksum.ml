@@ -5,22 +5,24 @@
    detected, not replayed into maintained state. Table-driven, byte at a
    time — plenty for update-record-sized inputs. *)
 
+(* Built eagerly at module initialisation, not through [lazy]: under OCaml 5
+   a domain that forces a lazy value another domain is still forcing raises
+   [CamlinternalLazy.Undefined], and the first checksums can run on several
+   [Util.Pool] workers at once. The table is never written after this. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32_sub s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Checksum.crc32_sub";
-  let t = Lazy.force table in
   let c = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
-    c := t.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+    c := table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
 

@@ -22,6 +22,8 @@ let identity n = init n n (fun i j -> if i = j then 1.0 else 0.0)
 
 let copy m = { m with data = Array.copy m.data }
 
+let data m = m.data
+
 let rows m = m.rows
 let cols m = m.cols
 

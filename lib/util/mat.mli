@@ -10,6 +10,11 @@ val create : int -> int -> t
 val init : int -> int -> (int -> int -> float) -> t
 val identity : int -> t
 val copy : t -> t
+val data : t -> float array
+(** The row-major backing array, shared (not a copy): entry [(i, j)] is at
+    [i * cols + j]. For kernels that must not box floats across the
+    out-of-line {!get}. *)
+
 val rows : t -> int
 val cols : t -> int
 val get : t -> int -> int -> float

@@ -362,6 +362,134 @@ let test_grouped_simple () =
   Fivm.Grouped_view.apply g (Delta.delete "D" [| int 1; int 7 |]);
   Alcotest.(check int) "group vanished" 0 (List.length (Fivm.Grouped_view.result g))
 
+(* ---- storage against a naive model of list buckets ---- *)
+module Storage = Fivm.Storage
+
+(* The reference semantics of the index buckets, as plain lists: a tuple
+   goes to the head of each of its buckets when its multiplicity leaves 0,
+   and is filtered out when the multiplicity returns to 0. *)
+type model = {
+  mults : (string * Tuple.t, int) Hashtbl.t;
+  buckets : (string * string * Keypack.key, Tuple.t list) Hashtbl.t;
+}
+
+let model_apply s md (u : Delta.update) =
+  let n = Storage.node s u.relation in
+  let bucket nb = (u.relation, nb, Storage.key_for n ~neighbour:nb u.tuple) in
+  let get k = Option.value ~default:[] (Hashtbl.find_opt md.buckets k) in
+  let old_m = Option.value ~default:0 (Hashtbl.find_opt md.mults (u.relation, u.tuple)) in
+  let new_m = old_m + u.multiplicity in
+  if old_m = 0 && new_m <> 0 then begin
+    Hashtbl.replace md.mults (u.relation, u.tuple) new_m;
+    List.iter
+      (fun nb -> Hashtbl.replace md.buckets (bucket nb) (u.tuple :: get (bucket nb)))
+      (Storage.neighbours n)
+  end
+  else if new_m = 0 then begin
+    Hashtbl.remove md.mults (u.relation, u.tuple);
+    List.iter
+      (fun nb ->
+        Hashtbl.replace md.buckets (bucket nb)
+          (List.filter (fun t -> not (Tuple.equal t u.tuple)) (get (bucket nb))))
+      (Storage.neighbours n)
+  end
+  else Hashtbl.replace md.mults (u.relation, u.tuple) new_m
+
+(* Every tuple the test may touch: a few join-key values per relation. *)
+let storage_domain =
+  List.concat
+    [
+      List.concat_map
+        (fun a ->
+          List.concat_map
+            (fun b -> List.map (fun m -> ("F", [| int a; int b; flt m |])) [ 1.0; 2.0 ])
+            [ 0; 1 ])
+        [ 0; 1; 2 ];
+      List.concat_map
+        (fun a -> List.map (fun u -> ("D1", [| int a; flt u |])) [ 1.0; 2.0 ])
+        [ 0; 1; 2 ];
+      List.concat_map
+        (fun b -> List.map (fun v -> ("D2", [| int b; flt v |])) [ 1.0; 2.0 ])
+        [ 0; 1 ];
+    ]
+
+(* Every bucket of the storage, as (tuple, multiplicity) lists in iteration
+   order, once through [iter_matching] and once through [fold_matching]. *)
+let storage_buckets s =
+  List.concat_map
+    (fun (rel, tuple) ->
+      let n = Storage.node s rel in
+      List.map
+        (fun nb ->
+          let key = Storage.key_for n ~neighbour:nb tuple in
+          let seen = ref [] in
+          Storage.iter_matching n ~neighbour:nb key (fun t m -> seen := (t, m) :: !seen);
+          let folded =
+            Storage.fold_matching n ~neighbour:nb key (fun t m acc -> (t, m) :: acc) []
+          in
+          ((rel, nb, key), List.rev !seen, List.rev folded))
+        (Storage.neighbours n))
+    storage_domain
+
+let storage_matches_model s md =
+  List.for_all
+    (fun ((rel, _, _) as k, iterated, folded) ->
+      let expected =
+        List.map
+          (fun t -> (t, Hashtbl.find md.mults (rel, t)))
+          (Option.value ~default:[] (Hashtbl.find_opt md.buckets k))
+      in
+      iterated = expected && folded = expected)
+    (storage_buckets s)
+  && List.for_all
+       (fun (rel, t) ->
+         Storage.multiplicity (Storage.node s rel) t
+         = Option.value ~default:0 (Hashtbl.find_opt md.mults (rel, t)))
+       storage_domain
+  && Storage.total_tuples s = Hashtbl.fold (fun _ m acc -> acc + abs m) md.mults 0
+
+let storage_agrees_with_model =
+  QCheck2.Test.make ~count:60
+    ~name:"storage = list model (order, multiplicities, dump replay)"
+    QCheck2.Gen.(pair (int_range 0 150) int)
+    (fun (steps, seed) ->
+      let rng = Util.Prng.create seed in
+      let domain = Array.of_list storage_domain in
+      let s = Storage.create (empty_db ()) in
+      let md = { mults = Hashtbl.create 16; buckets = Hashtbl.create 16 } in
+      let ok = ref true in
+      for _ = 1 to steps do
+        (* multiplicities in [-2, 2]: counts dip below zero and come back,
+           and a 0 update must be a no-op *)
+        let rel, tuple = Util.Prng.choice rng domain in
+        let u = { Delta.relation = rel; tuple; multiplicity = Util.Prng.int rng 5 - 2 } in
+        model_apply s md u;
+        Storage.apply s u;
+        if not (storage_matches_model s md) then ok := false
+      done;
+      let replayed = Storage.create (empty_db ()) in
+      List.iter (Storage.apply replayed) (Storage.dump s);
+      !ok && storage_buckets replayed = storage_buckets s)
+
+(* Regression (superlinear delete): removing a tuple from its join-key
+   bucket used to rebuild the bucket, so a delete allocated in proportion to
+   the bucket size. It must allocate the same at 16 and at 16,384. *)
+let test_delete_cost_independent_of_bucket () =
+  let delete_words size =
+    let s = Storage.create (empty_db ()) in
+    for b = 0 to size - 1 do
+      Storage.apply s (Delta.insert "F" [| int 0; int b; flt 1.0 |])
+    done;
+    let u = Delta.delete "F" [| int 0; int (size / 2); flt 1.0 |] in
+    let before = Gc.minor_words () in
+    Storage.apply s u;
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check int) "deleted" 0 (Storage.multiplicity (Storage.node s "F") u.tuple);
+    words
+  in
+  Alcotest.(check (float 0.0)) "same minor words for a delete" (delete_words 16)
+    (delete_words 16384)
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let () =
@@ -392,6 +520,12 @@ let () =
           Alcotest.test_case "storage tracks tuples" `Quick test_view_sizes_reported;
           Alcotest.test_case "obs counters track batch" `Quick
             test_obs_counters_track_batch;
+        ] );
+      ( "storage",
+        [
+          qcheck storage_agrees_with_model;
+          Alcotest.test_case "delete cost independent of bucket size" `Quick
+            test_delete_cost_independent_of_bucket;
         ] );
       ( "semantics",
         [

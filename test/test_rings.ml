@@ -187,6 +187,118 @@ let test_cov_elem () =
   Alcotest.(check bool) "one" true
     (Cov.equal (Fivm.Payload.cov_elem 2 `One) (Cov.one 2))
 
+(* --- covariance kernels: bit equality with the element-wise formulas --- *)
+
+(* Reference copies of the element-wise definitions (each coordinate's
+   expression and association order), read through [Mat.get]/[Mat.init]. *)
+module Reference = struct
+  let add (a : Cov.t) (b : Cov.t) : Cov.t =
+    let n = Cov.dim a in
+    {
+      c = a.c +. b.c;
+      s = Array.init n (fun i -> a.s.(i) +. b.s.(i));
+      q = Util.Mat.init n n (fun i j -> Util.Mat.get a.q i j +. Util.Mat.get b.q i j);
+    }
+
+  let smul k (a : Cov.t) : Cov.t =
+    let n = Cov.dim a in
+    {
+      c = k *. a.c;
+      s = Array.init n (fun i -> k *. a.s.(i));
+      q = Util.Mat.init n n (fun i j -> k *. Util.Mat.get a.q i j);
+    }
+
+  let neg (a : Cov.t) : Cov.t =
+    let n = Cov.dim a in
+    {
+      c = -.a.c;
+      s = Array.init n (fun i -> (-1.0) *. a.s.(i));
+      q = Util.Mat.init n n (fun i j -> (-1.0) *. Util.Mat.get a.q i j);
+    }
+
+  let mul (a : Cov.t) (b : Cov.t) : Cov.t =
+    let n = Cov.dim a in
+    {
+      c = a.c *. b.c;
+      s = Array.init n (fun i -> (b.c *. a.s.(i)) +. (a.c *. b.s.(i)));
+      q =
+        Util.Mat.init n n (fun i j ->
+            (b.c *. Util.Mat.get a.q i j)
+            +. (a.c *. Util.Mat.get b.q i j)
+            +. (a.s.(i) *. b.s.(j))
+            +. (b.s.(i) *. a.s.(j)));
+    }
+
+  let is_zero (a : Cov.t) =
+    a.c = 0.0
+    && Array.for_all (fun x -> x = 0.0) a.s
+    && Array.for_all (fun r -> Array.for_all (fun x -> x = 0.0) r) (Util.Mat.to_arrays a.q)
+end
+
+(* Every float of a triple by bit pattern: dimension, c, s, then Q
+   row-major. *)
+let cov_bits (t : Cov.t) =
+  let n = Cov.dim t in
+  (n, Int64.bits_of_float t.c)
+  :: List.init n (fun i -> (i, Int64.bits_of_float t.s.(i)))
+  @ List.init (n * n) (fun k -> (k, Int64.bits_of_float (Util.Mat.get t.q (k / n) (k mod n))))
+
+(* Signed zeros, subnormals, ordinary and huge magnitudes (products of huge
+   values overflow to infinity identically on both sides). *)
+let kernel_float =
+  QCheck2.Gen.(
+    oneof
+      [
+        return 0.0;
+        return (-0.0);
+        return 5e-324;
+        return (-5e-324);
+        map (fun x -> ldexp x (-1030)) (float_range (-1.0) 1.0);
+        float_range (-1e3) 1e3;
+        map float_of_int (int_range (-5) 5);
+        map (fun x -> x *. 1e300) (float_range (-1.0) 1.0);
+      ])
+
+let kernel_triple n =
+  QCheck2.Gen.(
+    map
+      (fun (c, s, q) : Cov.t ->
+        { c; s; q = Util.Mat.init n n (fun i j -> q.((i * n) + j)) })
+      (triple kernel_float (array_repeat n kernel_float)
+         (array_repeat (n * n) kernel_float)))
+
+let kernel_case =
+  QCheck2.Gen.(
+    int_range 1 12 >>= fun n ->
+    triple (kernel_triple n) (kernel_triple n) kernel_float)
+
+let kernels_bit_equal =
+  QCheck2.Test.make ~count:300 ~name:"kernels = element-wise formulas, bit for bit"
+    kernel_case (fun (a, b, k) ->
+      let same x y = cov_bits x = cov_bits y in
+      same (Cov.add a b) (Reference.add a b)
+      && same (Cov.mul a b) (Reference.mul a b)
+      && same (Cov.smul k a) (Reference.smul k a)
+      && same (Cov.neg a) (Reference.neg a)
+      && Cov.is_zero a = Reference.is_zero a
+      && Cov.is_zero (Cov.smul 0.0 a) = Reference.is_zero (Cov.smul 0.0 a))
+
+let add_in_place_equals_add =
+  QCheck2.Test.make ~count:300
+    ~name:"add_in_place = add, right operand untouched" kernel_case
+    (fun (a, b, _) ->
+      let acc = Cov.copy a in
+      let b_before = cov_bits b in
+      Cov.add_in_place acc b;
+      let via_payload =
+        match Fivm.Payload.Cov_dyn.add_into (`Elem (Cov.copy a)) (`Elem b) with
+        | `Elem e -> cov_bits e
+        | _ -> []
+      in
+      cov_bits acc = cov_bits (Cov.add a b)
+      && via_payload = cov_bits acc
+      && cov_bits b = b_before)
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let () =
@@ -209,6 +321,8 @@ let () =
             test_cov_dyn_rejects_dimensionless;
           Alcotest.test_case "cov_elem" `Quick test_cov_elem;
         ] );
+      ( "covariance-kernels",
+        [ qcheck kernels_bit_equal; qcheck add_in_place_equals_add ] );
       ( "covariance-ring-semantics",
         [
           Alcotest.test_case "lift product = of_tuple" `Quick

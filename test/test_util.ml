@@ -368,6 +368,29 @@ let test_zero_budget_runs_inline () =
 
 let qcheck = QCheck_alcotest.to_alcotest
 
+(* Regression: the CRC table was a [lazy], and OCaml 5 raises
+   [CamlinternalLazy.Undefined] in a domain forcing a lazy value that another
+   domain is still forcing. Four domains checksum at once, on first use in
+   this process, and must all agree. *)
+let test_crc32_concurrent_first_use () =
+  let inputs = List.init 64 (fun i -> String.init (i * 5) (fun k -> Char.chr ((i + k) land 0xFF))) in
+  let go = Atomic.make false in
+  let worker () =
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    List.map Util.Checksum.crc32 inputs
+  in
+  let domains = List.init 4 (fun _ -> Domain.spawn worker) in
+  Atomic.set go true;
+  let results = List.map Domain.join domains in
+  let reference = List.map Util.Checksum.crc32 inputs in
+  List.iter
+    (fun r -> Alcotest.(check (list int)) "identical across domains" reference r)
+    results;
+  Alcotest.(check int) "standard check value" 0xCBF43926
+    (Util.Checksum.crc32 "123456789")
+
 let () =
   Alcotest.run "util"
     [
@@ -403,6 +426,11 @@ let () =
             test_csv_malformed_cell;
         ] );
       ("interner", [ Alcotest.test_case "basic" `Quick test_interner ]);
+      ( "checksum",
+        [
+          Alcotest.test_case "concurrent first use" `Quick
+            test_crc32_concurrent_first_use;
+        ] );
       ( "pool",
         [
           Alcotest.test_case "ranges cover" `Quick test_ranges_cover;
