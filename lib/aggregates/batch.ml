@@ -175,15 +175,18 @@ let pp ppf b =
   Format.fprintf ppf "batch %s: %d aggregates@\n" b.name (size b);
   List.iter (fun a -> Format.fprintf ppf "  %a@\n" Spec.pp a) b.aggregates
 
-(* Content fingerprint: the batch's canonical forms folded through CRC-32,
-   chaining each step's digest into the next input so aggregate ORDER
-   matters (two batches answer positionally). Used by [Serve] as the cache
-   key for a batch shape. *)
-let fingerprint b =
-  List.fold_left
-    (fun acc s -> Util.Checksum.crc32 (Printf.sprintf "%08x|%s" acc (Spec.canonical s)))
-    (Util.Checksum.crc32 b.name)
-    b.aggregates
+(* Content fingerprint: CRC-32 of the batch's marshalled bytes. Without
+   sharing, those bytes are a function of the structure alone: the name
+   and every aggregate in order (two batches answer positionally) with its
+   id, terms, group-by and filter, floats by bit pattern. The id matters
+   because results are keyed by it, so batches that permute ids over the
+   same specs must not share a key ([Spec.canonical], the sharing key,
+   leaves the id out). A serving cache hit pays this once per request, so
+   it is kept off [Printf]/[Format]. Cache key material only — a hit still
+   checks [equal]. *)
+let fingerprint b = Util.Checksum.crc32 (Marshal.to_string b [ Marshal.No_sharing ])
+
+let equal a b = a == b || a = b
 
 (* The numeric-only covariance batch: COUNT, SUM(x), SUM(x*y) over the given
    features, no categorical interactions. Exactly the aggregates a serving

@@ -34,9 +34,15 @@ val eval_flat : Relation.t -> t -> (string * Spec.result) list
 val pp : Format.formatter -> t -> unit
 
 val fingerprint : t -> int
-(** Order-sensitive content fingerprint of the batch (name plus every
-    aggregate's {!Spec.canonical} folded through [Util.Checksum.crc32]);
-    non-negative and stable across processes. Cache key material. *)
+(** Order-sensitive content fingerprint of the batch: [Util.Checksum.crc32]
+    of its marshalled bytes, so it covers the name and every aggregate's id,
+    terms, group-by and filter (float constants by bit pattern);
+    non-negative and stable across runs of one build. Cache key material: a
+    CRC-32 can collide, so a cache hit must also check {!equal}. *)
+
+val equal : t -> t -> bool
+(** Structural equality: same name, same aggregates (ids included) in the
+    same order. *)
 
 val covariance_numeric : string list -> t
 (** The numeric part of {!covariance} over an explicit feature list: COUNT,

@@ -1,16 +1,19 @@
 (* The staged-compilation engine: an [Aggregates.Engine_intf.S]
    implementation ("lmfao-compiled") that lowers the LMFAO logical plan
    through the typed IR (stage 1), optimises it (stage 2) and executes the
-   specialised closures (stage 3).
+   specialised closures (stage 3). It is the one aggregate path of the
+   learners ([Ml]) and of [Serve]; the interpreter ([Lmfao.Engine]) stays
+   as the independent oracle it is tested against.
 
-   Compiled plans are cached globally, keyed by [Batch.fingerprint] — the
-   same key [Serve] uses for its result cache — so recompilation is
-   amortised across epochs and delta rounds. A cached plan is revalidated
-   against a cheap plan signature (schema shape, options, and the
-   multi-root assignment, which depends on relation CARDINALITIES and so
-   can drift as data changes); on any mismatch the batch is recompiled.
-   That keeps the engine bit-identical to a fresh interpreter run even
-   when deltas have shifted which relation a pure count roots at.
+   Compiled plans are cached globally, keyed by [Batch.fingerprint]. A hit
+   must also match the cached batch structurally (a CRC-32 key can
+   collide) and revalidate a cheap plan signature (schema shape, options,
+   and the multi-root assignment, which depends on relation CARDINALITIES
+   and so can drift as data changes); on any mismatch the batch is
+   recompiled. That keeps the engine bit-identical to a fresh interpreter
+   run even when deltas have shifted which relation a pure count roots at.
+   Every decision-tree node passes through the cache, so it is bounded:
+   [cache_capacity] entries, least recently used evicted first.
 
    Cyclic schemas fall back to the interpreter (which materialises the
    join with the WCOJ engine), counted in [lmfao.compile.cyclic]. *)
@@ -25,7 +28,6 @@ type options = Lmfao.Engine.options
 let default_options = Lmfao.Engine.default_options
 
 type compiled = {
-  fingerprint : int; (* Batch.fingerprint of the compiled batch *)
   signature : string; (* plan signature the cache revalidates against *)
   options : options;
   groups : Ir.rooted array; (* one rooted plan per multi-root group *)
@@ -95,7 +97,6 @@ let compile ?(options = default_options) (db : Database.t) (batch : Batch.t) :
       groups
   in
   {
-    fingerprint = Batch.fingerprint batch;
     signature = signature_of options db batch;
     options;
     groups = Array.of_list lowered;
@@ -113,37 +114,65 @@ let run (c : compiled) (db : Database.t) : (string * Spec.result) list =
   else
     List.concat_map (fun g -> Exec.compute_rooted ~options:c.options db g) groups
 
-(* A cached plan may be reused iff the batch, options and plan signature
-   all still match. Cyclic schemas never reuse (they never compiled). *)
-let reusable (c : compiled) ?(options = default_options) (db : Database.t)
-    (batch : Batch.t) : bool =
-  c.options = options
-  && c.fingerprint = Batch.fingerprint batch
-  &&
-  match signature_of options db batch with
-  | s -> String.equal c.signature s
-  | exception Join_tree.Cyclic -> false
-
 (* ---------- the engine facade with its global plan cache ---------- *)
 
-let cache : (int, compiled) Hashtbl.t = Hashtbl.create 16
+let cache_capacity = 64
+
+type entry = { batch : Batch.t; plan : compiled; mutable last_use : int }
+
+let cache : (int, entry) Hashtbl.t = Hashtbl.create cache_capacity
+let clock = ref 0 (* use stamps for LRU eviction *)
 let cache_lock = Mutex.create ()
+let g_cache_size = Obs.gauge "lmfao.compile.cache_size"
 
 let locked f =
   Mutex.lock cache_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock cache_lock) f
 
+let touch e =
+  incr clock;
+  e.last_use <- !clock
+
+let evict_lru () =
+  let victim =
+    Hashtbl.fold
+      (fun fp e acc ->
+        match acc with
+        | Some (_, used) when used <= e.last_use -> acc
+        | _ -> Some (fp, e.last_use))
+      cache None
+  in
+  Option.iter (fun (fp, _) -> Hashtbl.remove cache fp) victim
+
+(* The lock covers table access only: compilation runs outside it, so
+   concurrent misses compile in parallel (a lost race compiles twice and
+   keeps the later plan — both are equal). *)
 let find_or_compile ?(options = default_options) db batch : compiled =
-  locked @@ fun () ->
   let fp = Batch.fingerprint batch in
   let signature = signature_of options db batch in
-  match Hashtbl.find_opt cache fp with
-  | Some c when c.options = options && String.equal c.signature signature ->
+  let hit =
+    locked @@ fun () ->
+    match Hashtbl.find_opt cache fp with
+    | Some e
+      when Batch.equal e.batch batch && e.plan.options = options
+           && String.equal e.plan.signature signature ->
+        touch e;
+        Some e.plan
+    | _ -> None
+  in
+  match hit with
+  | Some c ->
       Obs.incr c_cache_hits;
       c
-  | _ ->
+  | None ->
       let c = compile ~options db batch in
-      Hashtbl.replace cache fp c;
+      locked (fun () ->
+          if (not (Hashtbl.mem cache fp)) && Hashtbl.length cache >= cache_capacity
+          then evict_lru ();
+          let e = { batch; plan = c; last_use = 0 } in
+          touch e;
+          Hashtbl.replace cache fp e;
+          Obs.set_gauge g_cache_size (float_of_int (Hashtbl.length cache)));
       c
 
 let name = "lmfao-compiled"
@@ -159,3 +188,13 @@ let eval_batch ?(options = default_options) db batch :
   | exception Join_tree.Cyclic ->
       Obs.incr c_cyclic;
       Lmfao.Engine.eval_batch ~options db batch
+
+let lookup ?options db (batch : Batch.t) : string -> Spec.result =
+  let keyed = eval_batch ?options db batch in
+  let table = Hashtbl.create (List.length keyed) in
+  List.iter (fun (id, r) -> Hashtbl.replace table id r) keyed;
+  fun id ->
+    match Hashtbl.find_opt table id with
+    | Some r -> r
+    | None ->
+        invalid_arg (Printf.sprintf "%s: missing aggregate %s" batch.Batch.name id)

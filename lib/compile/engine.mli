@@ -1,8 +1,10 @@
 (** The staged-compilation engine ("lmfao-compiled"): lowers the LMFAO
     logical plan through the typed IR, optimises it, and executes
     specialised closures. Satisfies {!Aggregates.Engine_intf.S}. Results
-    are bitwise equal to {!Lmfao.Engine}; cyclic schemas fall back to the
-    interpreter (counted in [lmfao.compile.cyclic]). *)
+    are bitwise equal to {!Lmfao.Engine}, which stays the oracle; cyclic
+    schemas fall back to the interpreter's materialising path (counted in
+    [lmfao.compile.cyclic]). {!eval_batch} is the one way the learners and
+    the serving layer evaluate a batch. *)
 
 open Relational
 module Spec = Aggregates.Spec
@@ -14,7 +16,7 @@ val default_options : options
 
 type compiled
 (** A compiled batch: one optimised {!Ir.rooted} per multi-root group,
-    tagged with the batch fingerprint and a plan signature. *)
+    tagged with a plan signature. *)
 
 val compile : ?options:options -> Database.t -> Batch.t -> compiled
 (** Compile without consulting the cache. Counts [lmfao.compile.plans];
@@ -24,19 +26,12 @@ val compile : ?options:options -> Database.t -> Batch.t -> compiled
     @raise Lmfao.Plan.Unsupported on non-decomposable filters *)
 
 val run : compiled -> Database.t -> (string * Spec.result) list
-(** Execute a compiled batch against a database (which must still match
-    the plan signature — see {!reusable}). *)
+(** Execute a compiled batch against a database with the schema and
+    relation cardinality order it was compiled for. *)
 
-val reusable : compiled -> ?options:options -> Database.t -> Batch.t -> bool
-(** Whether a cached plan may serve this (db, batch, options): the batch
-    fingerprint, the options, and the plan signature — schema shape plus
-    the cardinality-dependent multi-root assignment — all still match. *)
-
-val find_or_compile : ?options:options -> Database.t -> Batch.t -> compiled
-(** Consult the global fingerprint-keyed plan cache (revalidating the
-    signature; hits count [lmfao.compile.cache_hits]), compiling on miss.
-    Thread-safe.
-    @raise Join_tree.Cyclic on cyclic schemas *)
+val cache_capacity : int
+(** Entries the global plan cache holds (least recently used evicted
+    first). Its current size is the [lmfao.compile.cache_size] gauge. *)
 
 (** {1 Engine_intf} *)
 
@@ -45,3 +40,15 @@ val description : string
 
 val eval_batch :
   ?options:options -> Database.t -> Batch.t -> (string * Spec.result) list
+(** Evaluate through the global plan cache: a hit needs the same
+    fingerprint, a structurally equal batch, the same options and a
+    still-valid plan signature (hits count [lmfao.compile.cache_hits]);
+    anything else compiles and caches. Thread-safe. Cyclic schemas go to
+    [Lmfao.Engine.eval_batch] (join materialisation). Results are grouped
+    by decomposition root, not in batch order.
+    @raise Lmfao.Plan.Unsupported on non-decomposable filters *)
+
+val lookup : ?options:options -> Database.t -> Batch.t -> string -> Spec.result
+(** [lookup db batch] evaluates the batch once ({!eval_batch}) and returns
+    its results by aggregate id.
+    @raise Invalid_argument on an id the batch does not define *)

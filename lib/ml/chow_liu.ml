@@ -70,13 +70,8 @@ let maximum_spanning_tree (attrs : string list) (edges : edge list) : edge list 
     sorted
 
 (* End to end: synthesise the MI batch, run LMFAO, build the tree. *)
-let tree_over_database ?(engine_options = Lmfao.Engine.default_options)
-    (db : Database.t) (attrs : string list) : edge list =
-  let batch = Aggregates.Batch.mutual_information attrs in
-  let table = Lazy.force (Lmfao.Engine.eval ~options:engine_options db batch).table in
-  let lookup id =
-    match Hashtbl.find_opt table id with
-    | Some r -> r
-    | None -> invalid_arg ("Chow_liu: missing aggregate " ^ id)
+let tree_over_database (db : Database.t) (attrs : string list) : edge list =
+  let lookup =
+    Compile.Engine.lookup db (Aggregates.Batch.mutual_information attrs)
   in
   maximum_spanning_tree attrs (pairwise_mi attrs lookup)

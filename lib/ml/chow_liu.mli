@@ -23,6 +23,6 @@ val pairwise_mi : string list -> (string -> Spec.result) -> edge list
 val maximum_spanning_tree : string list -> edge list -> edge list
 (** Kruskal; returns |attrs| - 1 edges for connected inputs. *)
 
-val tree_over_database :
-  ?engine_options:Lmfao.Engine.options -> Database.t -> string list -> edge list
-(** End to end: synthesise the batch, run LMFAO, build the tree. *)
+val tree_over_database : Database.t -> string list -> edge list
+(** End to end: synthesise the batch, run it through {!Compile.Engine},
+    build the tree. *)

@@ -215,16 +215,11 @@ let rec grow ~params ~evaluate ~path ~class_attr (f : Feature.t) thresholds dept
     | _ -> leaf ()
   end
 
-let train ?(params = default_params) ?(engine_options = Lmfao.Engine.default_options)
-    (db : Database.t) ~(class_attr : string) (f : Feature.t) : tree =
+let train ?(params = default_params) (db : Database.t) ~(class_attr : string)
+    (f : Feature.t) : tree =
   let thresholds = Decision_tree.thresholds_of_db db f in
   let evaluate specs =
-    let batch = { Aggregates.Batch.name = "class-node"; aggregates = specs } in
-    let table = Lazy.force (Lmfao.Engine.eval ~options:engine_options db batch).table in
-    fun id ->
-      match Hashtbl.find_opt table id with
-      | Some r -> r
-      | None -> invalid_arg ("Classification_tree: missing aggregate " ^ id)
+    Compile.Engine.lookup db { Aggregates.Batch.name = "class-node"; aggregates = specs }
   in
   grow ~params ~evaluate ~path:Predicate.True ~class_attr f thresholds 0
 

@@ -36,7 +36,6 @@ val node_specs :
 
 val train :
   ?params:params ->
-  ?engine_options:Lmfao.Engine.options ->
   Database.t ->
   class_attr:string ->
   Feature.t ->

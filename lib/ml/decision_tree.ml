@@ -164,16 +164,10 @@ let thresholds_of_db (db : Database.t) (f : Feature.t) =
     f.continuous
 
 (* Structure-aware training: one LMFAO batch per tree node. *)
-let train ?(params = default_params) ?(engine_options = Lmfao.Engine.default_options)
-    (db : Database.t) (f : Feature.t) : tree =
+let train ?(params = default_params) (db : Database.t) (f : Feature.t) : tree =
   let thresholds = thresholds_of_db db f in
   let evaluate specs =
-    let batch = { Aggregates.Batch.name = "tree-node"; aggregates = specs } in
-    let table = Lazy.force (Lmfao.Engine.eval ~options:engine_options db batch).table in
-    fun id ->
-      match Hashtbl.find_opt table id with
-      | Some r -> r
-      | None -> invalid_arg ("Decision_tree: missing aggregate " ^ id)
+    Compile.Engine.lookup db { Aggregates.Batch.name = "tree-node"; aggregates = specs }
   in
   grow ~params ~evaluate ~path:Predicate.True f thresholds 0
 

@@ -37,7 +37,6 @@ val thresholds_of_db : Database.t -> Feature.t -> (string * float list) list
 
 val train :
   ?params:params ->
-  ?engine_options:Lmfao.Engine.options ->
   Database.t ->
   Feature.t ->
   tree

@@ -192,20 +192,18 @@ let augmented_database (db : Database.t) (g : grid) =
   Database.create (Database.name db ^ "_grid") relations
 
 (* The weighted coreset: occupied grid cells with their join counts. *)
-let coreset ?(engine_options = Lmfao.Engine.default_options) (db : Database.t)
-    (g : grid) : (float array * float) array =
+let coreset (db : Database.t) (g : grid) : (float array * float) array =
   let db' = augmented_database db g in
   let spec =
     Spec.make ~id:"cells" ~terms:[]
       ~group_by:(Array.to_list (Array.map bucket_attr g.dims))
       ()
   in
-  let results =
-    (Lmfao.Engine.eval ~options:engine_options db'
-       { Aggregates.Batch.name = "kmeans-grid"; aggregates = [ spec ] })
-      .keyed
+  let cells =
+    Compile.Engine.lookup db'
+      { Aggregates.Batch.name = "kmeans-grid"; aggregates = [ spec ] }
+      "cells"
   in
-  let cells = List.assoc "cells" results in
   Array.of_list
     (List.map
        (fun (assignment, w) ->
@@ -221,10 +219,10 @@ let coreset ?(engine_options = Lmfao.Engine.default_options) (db : Database.t)
        cells)
 
 (* Rk-means: cluster the weighted grid coreset instead of the join. *)
-let rk_means ?(seed = 1) ?(cells = 16) ?engine_options ~k (db : Database.t)
+let rk_means ?(seed = 1) ?(cells = 16) ~k (db : Database.t)
     ~(dims : string list) : clustering =
   let g = make_grid db ~dims ~cells in
-  let points = coreset ?engine_options db g in
+  let points = coreset db g in
   lloyd ~seed ~k points
 
 (* Cost of given centroids over explicit (point, weight) data. *)

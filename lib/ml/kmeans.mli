@@ -32,7 +32,6 @@ val augmented_database : Database.t -> grid -> Database.t
 (** Each dimension's owner relation gains its bucket column. *)
 
 val coreset :
-  ?engine_options:Lmfao.Engine.options ->
   Database.t ->
   grid ->
   (float array * float) array
@@ -41,7 +40,6 @@ val coreset :
 val rk_means :
   ?seed:int ->
   ?cells:int ->
-  ?engine_options:Lmfao.Engine.options ->
   k:int ->
   Database.t ->
   dims:string list ->

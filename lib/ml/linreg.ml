@@ -19,7 +19,10 @@ and gd_params = {
   tolerance : float; (* stop when the gradient's max-norm drops below *)
 }
 
-and cg_params = { cg_iterations : int; cg_tolerance : float }
+and cg_params = {
+  cg_iterations : int;
+  cg_tolerance : float; (* stop when ||residual|| <= this * ||rhs|| *)
+}
 
 let default_gd = { learning_rate = 0.1; iterations = 5_000; tolerance = 1e-9 }
 
@@ -137,8 +140,9 @@ let train ?(ridge = 1e-3) ?(method_ = Gradient_descent default_gd) ?warm_start
          = (A theta - b)/N + ridge theta : built from the aggregates and the
          current parameters only (the paper's "gradient vector is built up
          using the computed aggregates"). Standardised in moment space; the
-         step size uses exact line search along the gradient (the Hessian is
-         available for free from the aggregates). *)
+         first step uses exact line search along the gradient (the Hessian is
+         available for free from the aggregates), later steps the
+         Barzilai-Borwein length. *)
       let a', b', unstandardise, restandardise = standardise ~columns a b n in
       let theta =
         match warm_start with
@@ -147,6 +151,7 @@ let train ?(ridge = 1e-3) ?(method_ = Gradient_descent default_gd) ?warm_start
         | _ -> Vec.create dim
       in
       let iterations = ref 0 in
+      let previous = ref None in
       (try
          for it = 1 to p.iterations do
            iterations := it;
@@ -157,10 +162,24 @@ let train ?(ridge = 1e-3) ?(method_ = Gradient_descent default_gd) ?warm_start
            in
            if Obs.is_enabled () then Obs.set_gauge g_grad_norm (Vec.norm_inf grad);
            if Vec.norm_inf grad < p.tolerance then raise Exit;
-           let hg = Mat.matvec a' grad in
-           let gg = Vec.dot grad grad in
-           let ghg = (Vec.dot grad hg /. n) +. (ridge *. gg) in
-           let alpha = if ghg > 0.0 then gg /. ghg else p.learning_rate in
+           let alpha =
+             match !previous with
+             | None ->
+                 (* first step: exact line search *)
+                 let hg = Mat.matvec a' grad in
+                 let gg = Vec.dot grad grad in
+                 let ghg = (Vec.dot grad hg /. n) +. (ridge *. gg) in
+                 if ghg > 0.0 then gg /. ghg else p.learning_rate
+             | Some (theta0, grad0) ->
+                 (* then Barzilai-Borwein steps: exact line search alone
+                    zig-zags, and a warm start's error along flat
+                    (ridge-only) directions outlasts the iteration cap *)
+                 let s = Array.mapi (fun i x -> x -. theta0.(i)) theta in
+                 let y = Array.mapi (fun i x -> x -. grad0.(i)) grad in
+                 let sy = Vec.dot s y in
+                 if sy > 0.0 then Vec.dot s s /. sy else p.learning_rate
+           in
+           previous := Some (Vec.copy theta, grad);
            Vec.axpy ~alpha:(-.alpha) grad theta
          done
        with Exit -> ());
@@ -188,6 +207,9 @@ let train ?(ridge = 1e-3) ?(method_ = Gradient_descent default_gd) ?warm_start
       (* residual r = b'/n - H theta (zero theta gives the usual b'/n) *)
       let h_theta = apply_h theta in
       let r = Array.mapi (fun i x -> (x /. n) -. h_theta.(i)) b' in
+      (* relative stopping rule: an absolute bound on ||r||^2 stops a warm
+         start early, with an error of up to ||r|| / ridge *)
+      let stop = p.cg_tolerance *. sqrt (Vec.dot b' b') /. n in
       let p_dir = Vec.copy r in
       let rs = ref (Vec.dot r r) in
       let iterations = ref 0 in
@@ -196,7 +218,7 @@ let train ?(ridge = 1e-3) ?(method_ = Gradient_descent default_gd) ?warm_start
            iterations := it;
            Obs.incr c_iterations;
            if Obs.is_enabled () then Obs.set_gauge g_grad_norm (sqrt !rs);
-           if !rs < p.cg_tolerance then raise Exit;
+           if sqrt !rs <= stop then raise Exit;
            let hp = apply_h p_dir in
            let php = Vec.dot p_dir hp in
            if php <= 0.0 then raise Exit;
@@ -353,9 +375,9 @@ type timed_run = {
 }
 
 let train_over_database ?(ridge = 1e-3) ?(method_ = Conjugate_gradient default_cg)
-    ?engine_options (db : Database.t) (features : Feature.t) : timed_run =
+    (db : Database.t) (features : Feature.t) : timed_run =
   let r =
-    Model_intf.timed_fit ?engine_options ~options:{ ridge; method_ }
+    Model_intf.timed_fit ~options:{ ridge; method_ }
       (module Model) db features
   in
   {

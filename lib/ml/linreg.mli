@@ -11,12 +11,16 @@ module Feature = Aggregates.Feature
 type method_ =
   | Closed_form
   | Gradient_descent of gd_params
-      (** steepest descent with exact line search (the Hessian is free from
-          the aggregates) *)
+      (** gradient descent: an exact line search first step (the Hessian is
+          free from the aggregates), Barzilai-Borwein steps after it *)
   | Conjugate_gradient of cg_params
 
 and gd_params = { learning_rate : float; iterations : int; tolerance : float }
-and cg_params = { cg_iterations : int; cg_tolerance : float }
+
+and cg_params = {
+  cg_iterations : int;
+  cg_tolerance : float;  (** relative: stop when ||residual|| <= tol * ||rhs|| *)
+}
 
 val default_gd : gd_params
 val default_cg : cg_params
@@ -67,7 +71,6 @@ type timed_run = {
 val train_over_database :
   ?ridge:float ->
   ?method_:method_ ->
-  ?engine_options:Lmfao.Engine.options ->
   Database.t ->
   Feature.t ->
   timed_run

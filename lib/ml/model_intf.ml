@@ -86,38 +86,19 @@ let rows_of_database (db : Database.t) (f : Feature.t) : rows =
   let m = Baseline.One_hot.encode join f in
   { row_columns = m.Baseline.One_hot.columns; x = m.Baseline.One_hot.x; y = m.Baseline.One_hot.y }
 
-let moments_of_database ?(engine_options = Lmfao.Engine.default_options)
-    (db : Database.t) (f : Feature.t) : moments =
+let moments_of_database (db : Database.t) (f : Feature.t) : moments =
   let response = response_exn f in
   let covariance =
-    lazy
-      (let batch = Batch.covariance f in
-       let table =
-         Lazy.force
-           (Lmfao.Engine.eval ~options:engine_options ~on_cyclic:`Materialize db
-              batch)
-             .Lmfao.Engine.table
-       in
-       let lookup id =
-         match Hashtbl.find_opt table id with
-         | Some r -> r
-         | None ->
-             invalid_arg (Printf.sprintf "Model_intf: missing aggregate %s" id)
-       in
-       Moment.of_batch f lookup)
+    lazy (Moment.of_batch f (Compile.Engine.lookup db (Batch.covariance f)))
   in
   let monomial =
-    lazy
-      (fst
-         (Monomial.moment_of_database ~engine_options db ~features:f.continuous
-            ~response))
+    lazy (fst (Monomial.moment_of_database db ~features:f.continuous ~response))
   in
   let rows = lazy (rows_of_database db f) in
   { features = f; origin = From_database; covariance; monomial; rows }
 
-let moments_of_covariance ?snapshot ?(engine_options = Lmfao.Engine.default_options)
-    (cov : Rings.Covariance.t) ~(features : string list) ~(response : string) :
-    moments =
+let moments_of_covariance ?snapshot (cov : Rings.Covariance.t)
+    ~(features : string list) ~(response : string) : moments =
   let continuous = List.filter (fun x -> x <> response) features in
   let f = Feature.make ~response ~continuous ~categorical:[] () in
   let covariance =
@@ -136,7 +117,7 @@ let moments_of_covariance ?snapshot ?(engine_options = Lmfao.Engine.default_opti
   let monomial =
     lazy
       (fst
-         (Monomial.moment_of_database ~engine_options (need_snapshot "monomial")
+         (Monomial.moment_of_database (need_snapshot "monomial")
             ~features:continuous ~response))
   in
   let rows = lazy (rows_of_database (need_snapshot "row") f) in
@@ -249,10 +230,10 @@ type 'm timed = {
   aggregate_count : int; (* batch size, 0 for row-based statistics *)
 }
 
-let timed_fit (type m o) ?engine_options ?options
+let timed_fit (type m o) ?options
     (module M : S with type model = m and type options = o) (db : Database.t)
     (f : Feature.t) : m timed =
-  let moments = moments_of_database ?engine_options db f in
+  let moments = moments_of_database db f in
   let force () =
     match M.needs with
     | `Covariance -> ignore (Lazy.force moments.covariance)

@@ -26,14 +26,13 @@ type moments = {
   rows : rows Lazy.t;  (** explicit one-hot data matrix *)
 }
 
-val moments_of_database :
-  ?engine_options:Lmfao.Engine.options -> Database.t -> Feature.t -> moments
+val moments_of_database : Database.t -> Feature.t -> moments
 (** Every flavour computed on demand over the database: covariance and
-    monomial moments by LMFAO batches, rows by join materialisation. *)
+    monomial moments by compiled LMFAO batches ({!Compile.Engine}), rows
+    by join materialisation. *)
 
 val moments_of_covariance :
   ?snapshot:(unit -> Database.t) ->
-  ?engine_options:Lmfao.Engine.options ->
   Rings.Covariance.t ->
   features:string list ->
   response:string ->
@@ -125,7 +124,6 @@ type 'm timed = {
 }
 
 val timed_fit :
-  ?engine_options:Lmfao.Engine.options ->
   ?options:'o ->
   (module S with type model = 'm and type options = 'o) ->
   Database.t ->

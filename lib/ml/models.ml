@@ -70,7 +70,8 @@ let decode_packed (r : Relational.Codec.reader) : Intf.packed =
 (* How a warm refresh must compare to a cold retrain over the SAME
    statistics: direct solves reproduce bit-identically (under exact input
    arithmetic); convex optimisers run to tight convergence tolerances
-   (CG 1e-12, GD 1e-9) so warm and cold meet at the unique ridge optimum —
+   (CG 1e-12 relative residual, GD 1e-9 gradient max-norm) so warm and
+   cold meet at the unique ridge optimum —
    CG's stopping rule is much tighter than GD's, whose warm and cold paths
    can land ~1e-6 apart in prediction space on ill-conditioned draws;
    fm/huber run a FIXED iteration budget of a (possibly non-convex)

@@ -111,20 +111,11 @@ let moment_of_scalars (b : t list) ~(response : string)
 
 (* Basis-space moments over the join, one LMFAO batch (degree-4 SUM-PRODUCT
    aggregates). Returns the moment plus the batch size for timing reports. *)
-let moment_of_database ?(engine_options = Lmfao.Engine.default_options)
-    (db : Database.t) ~(features : string list) ~(response : string) :
-    Moment.t * int =
+let moment_of_database (db : Database.t) ~(features : string list)
+    ~(response : string) : Moment.t * int =
   let batch, b = batch_for features ~response in
-  let table =
-    Lazy.force
-      (Lmfao.Engine.eval ~options:engine_options ~on_cyclic:`Materialize db batch)
-        .Lmfao.Engine.table
-  in
-  let scalar terms =
-    match Hashtbl.find_opt table (name terms) with
-    | Some r -> Spec.scalar_result r
-    | None -> invalid_arg ("Monomial: missing aggregate " ^ name terms)
-  in
+  let find = Compile.Engine.lookup db batch in
+  let scalar terms = Spec.scalar_result (find (name terms)) in
   (moment_of_scalars b ~response scalar, Aggregates.Batch.size batch)
 
 (* The same moments accumulated over explicit rows (the structure-agnostic

@@ -25,7 +25,6 @@ val column_name : t -> string
     "intercept", everything else {!name}. *)
 
 val moment_of_database :
-  ?engine_options:Lmfao.Engine.options ->
   Database.t ->
   features:string list ->
   response:string ->

@@ -39,7 +39,6 @@ module Model :
 
 val train :
   ?ridge:float ->
-  ?engine_options:Lmfao.Engine.options ->
   Database.t ->
   features:string list ->
   response:string ->

@@ -1,4 +1,4 @@
-(* Concurrent aggregate serving over Lmfao.Engine with an epoch-invalidated
+(* Concurrent aggregate serving over Compile.Engine with an epoch-invalidated
    result cache.
 
    The paper's serving story (ROADMAP north star) is repeated traffic of the
@@ -10,8 +10,9 @@
      (Batch.fingerprint, database epoch)
 
    where the epoch is an atomic counter advanced by every delta batch. A
-   request whose cached entry carries the current epoch is a HIT (no engine
-   work at all). On delta application, cache entries are either
+   request whose cached entry carries the current epoch and an equal batch
+   (a fingerprint alone can collide) is a HIT (no engine work at all). On
+   delta application, cache entries are either
 
    - REFRESHED in place, when every aggregate of the batch is a coordinate
      of the maintained covariance triple (COUNT, SUM(x), SUM(x^2),
@@ -43,6 +44,7 @@ module Maintainer = Fivm.Maintainer
 type coord = C | S of int | Q of int * int
 
 type entry = {
+  batch : Batch.t; (* the cached batch: a fingerprint hit must match it *)
   mutable e_epoch : int; (* epoch the cached result is valid for *)
   mutable e_result : (string * Spec.result) list;
   refresh : (string * coord) list option;
@@ -75,8 +77,6 @@ type t = {
   feature_index : (string, int) Hashtbl.t;
   epoch : int Atomic.t;
   cache : (int, entry) Hashtbl.t; (* fingerprint -> entry *)
-  plans : (int, Compile.Engine.compiled) Hashtbl.t;
-      (* fingerprint -> compiled plan, revalidated against the snapshot *)
   models : (string, mentry) Hashtbl.t; (* registered name -> entry *)
   lock : Mutex.t;
   writer : bool Atomic.t; (* single-writer contract enforcement *)
@@ -130,7 +130,6 @@ let create ?(options = Lmfao.Engine.default_options) strategy
     feature_index;
     epoch = Atomic.make 0;
     cache = Hashtbl.create 16;
-    plans = Hashtbl.create 16;
     models = Hashtbl.create 8;
     lock = Mutex.create ();
     writer = Atomic.make false;
@@ -206,52 +205,14 @@ let snapshot t : Database.t = Maintainer.snapshot t.maintainer
 (* Recompute the batch and return results in BATCH order (the engine groups
    its keyed results by decomposition root) — the serving contract is
    request order, and refreshed entries are rebuilt in batch order too.
-
-   Acyclic batches go through the staged-compilation tier: one compiled
-   plan per batch fingerprint, cached on the instance and revalidated
-   against the live snapshot before reuse ([Compile.Engine.reusable] —
-   deltas shift cardinalities, which can move a pure count's root). The
-   compiled results are bitwise equal to the interpreter's, so the serving
-   audit's fresh-recompute comparison is unaffected. Cyclic schemas keep
-   the interpreter path with WCOJ materialisation. *)
+   The snapshot goes through the compiled facade: its plan cache
+   revalidates a cached plan against the live snapshot (deltas shift
+   cardinalities, which can move a pure count's root), and its results are
+   bitwise equal to the interpreter's, so the serving audit's
+   fresh-recompute comparison is unaffected. *)
 let recompute t (batch : Batch.t) =
-  let db = snapshot t in
-  let compiled =
-    match
-      let fp = Batch.fingerprint batch in
-      let plan =
-        match locked t (fun () -> Hashtbl.find_opt t.plans fp) with
-        | Some p when Compile.Engine.reusable p ~options:t.options db batch ->
-            p
-        | _ ->
-            let p = Compile.Engine.compile ~options:t.options db batch in
-            locked t (fun () -> Hashtbl.replace t.plans fp p);
-            p
-      in
-      Compile.Engine.run plan db
-    with
-    | keyed -> Some keyed
-    | exception Join_tree.Cyclic -> None
-  in
-  match compiled with
-  | Some keyed ->
-      List.map
-        (fun (s : Spec.t) ->
-          match List.assoc_opt s.id keyed with
-          | Some res -> (s.id, res)
-          | None -> failwith "Serve.recompute: engine lost an aggregate")
-        batch.Batch.aggregates
-  | None ->
-      let r =
-        Lmfao.Engine.eval ~options:t.options ~on_cyclic:`Materialize db batch
-      in
-      let table = Lazy.force r.Lmfao.Engine.table in
-      List.map
-        (fun (s : Spec.t) ->
-          match Hashtbl.find_opt table s.id with
-          | Some res -> (s.id, res)
-          | None -> failwith "Serve.recompute: engine lost an aggregate")
-        batch.Batch.aggregates
+  let find = Compile.Engine.lookup ~options:t.options (snapshot t) batch in
+  List.map (fun (s : Spec.t) -> (s.id, find s.id)) batch.Batch.aggregates
 
 (* ---------- the read path ---------- *)
 
@@ -262,7 +223,8 @@ let serve t (batch : Batch.t) : (string * Spec.result) list =
   let cached =
     locked t (fun () ->
         match Hashtbl.find_opt t.cache fp with
-        | Some e when e.e_epoch = now -> Some e.e_result
+        | Some e when e.e_epoch = now && Batch.equal e.batch batch ->
+            Some e.e_result
         | _ -> None)
   in
   match cached with
@@ -276,13 +238,14 @@ let serve t (batch : Batch.t) : (string * Spec.result) list =
       let keyed = recompute t batch in
       locked t (fun () ->
           match Hashtbl.find_opt t.cache fp with
-          | Some e when e.e_epoch >= now ->
+          | Some e when e.e_epoch >= now && Batch.equal e.batch batch ->
               (* a concurrent miss (or a refresh) got there first; keep the
                  newer entry *)
               ()
           | _ ->
               Hashtbl.replace t.cache fp
                 {
+                  batch;
                   e_epoch = now;
                   e_result = keyed;
                   refresh = refresh_plan t batch;
@@ -313,7 +276,6 @@ let serve_many ?clients t (batches : Batch.t list) =
 let model_moments t ~response =
   Ml.Model_intf.moments_of_covariance
     ~snapshot:(fun () -> snapshot t)
-    ~engine_options:t.options
     (Maintainer.covariance t.maintainer)
     ~features:(Maintainer.features t.maintainer)
     ~response

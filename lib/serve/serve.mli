@@ -1,7 +1,8 @@
-(** Concurrent aggregate AND model serving over {!Lmfao.Engine} with an
+(** Concurrent aggregate AND model serving over {!Compile.Engine} with an
     epoch-invalidated result cache kept fresh by {!Fivm.Maintainer}.
 
-    Batches are cached under [(Batch.fingerprint, epoch)]: every delta batch
+    Batches are cached under [(Batch.fingerprint, epoch)], and a hit must
+    also match the cached batch structurally: every delta batch
     advances the atomic epoch, then either refreshes cache entries in place
     (batches made entirely of maintained covariance-triple coordinates —
     COUNT / SUM(x) / SUM(x^2) / SUM(x*y) over the features, unfiltered,
@@ -60,7 +61,7 @@ val create :
 
 val serve : t -> Aggregates.Batch.t -> (string * Spec.result) list
 (** Answer one batch: a cache hit returns the stored result without engine
-    work; a miss evaluates the batch with {!Lmfao.Engine.eval} over a
+    work; a miss evaluates the batch with {!Compile.Engine.eval_batch} over a
     snapshot of the current contents and caches it at the epoch observed
     before the computation. Results are in batch-aggregate order regardless
     of how they were produced (the engine groups by decomposition root;

@@ -4,7 +4,8 @@
    exactly the floats [Lmfao.Engine] produces — same decomposition, same
    accumulation order — across random acyclic databases and batches
    (including filters and group-bys), every option combination, all four
-   datagen schemas, and the cyclic-fallback path. A second qcheck suite
+   datagen schemas, every node batch of trained regression and
+   classification trees, and the cyclic-fallback path. A second qcheck suite
    checks stage equivalence of the IR passes: executing the plan after
    each pass gives bitwise the same results as executing the raw lowered
    plan. *)
@@ -92,8 +93,8 @@ let batch_of name db =
   | _ -> assert false
 
 (* Random ad-hoc batches: products with powers, group-bys, and one- or
-   two-conjunct single-attribute filters (>=, <, =) over the star schema.
-   Integer-valued constants keep evaluation exact. *)
+   two-conjunct single-attribute filters (>=, <, =, IN, NOT) over the star
+   schema. Integer-valued constants keep evaluation exact. *)
 let random_batch rng =
   let numeric = [ "m1"; "m2"; "u" ] in
   let categorical = [ "x"; "y"; "z"; "a"; "b"; "c" ] in
@@ -101,14 +102,17 @@ let random_batch rng =
   let subset l =
     List.filter (fun _ -> Util.Prng.int rng 3 = 0) l
   in
-  let random_conjunct () =
-    match Util.Prng.int rng 4 with
+  let rec random_conjunct () =
+    match Util.Prng.int rng 5 with
     | 0 -> Predicate.Ge (pick numeric, flt (float_of_int (Util.Prng.int rng 10)))
     | 1 -> Predicate.Lt (pick numeric, flt (float_of_int (Util.Prng.int rng 10)))
     | 2 -> Predicate.Eq (pick categorical, int (Util.Prng.int rng 4))
-    | _ ->
+    | 3 ->
         Predicate.In
           (pick categorical, [ int (Util.Prng.int rng 4); int (Util.Prng.int rng 4) ])
+    | _ ->
+        (* a tree's right-hand categorical branch is [Not (Eq _)] *)
+        Predicate.Not (random_conjunct ())
   in
   let random_spec i =
     let terms =
@@ -280,6 +284,200 @@ let cache_revalidates_roots () =
   Alcotest.(check bool) "large D (roots moved)" true
     (check_compiled_vs_interpreter ~options:default (db false) batch)
 
+(* Results are keyed by aggregate id, but [Spec.canonical] leaves the id
+   out: two batches that permute ids over the same specs once shared a
+   fingerprint, and the second reused the first's plan, answering [a] and
+   [b] swapped. *)
+let permuted_ids () =
+  let db = random_star (Util.Prng.create 5) 20 4 in
+  let batch a b =
+    {
+      Batch.name = "perm";
+      aggregates =
+        [
+          Spec.make ~id:a ~terms:[ ("m1", 1) ] ~group_by:[] ();
+          Spec.make ~id:b ~terms:[ ("m2", 1) ] ~group_by:[] ();
+        ];
+    }
+  in
+  let sum id = Spec.scalar_result (List.assoc id (Engine.eval_batch db (batch "a" "b"))) in
+  Alcotest.(check bool) "SUM(m1) <> SUM(m2) on this data" true (sum "a" <> sum "b");
+  Alcotest.(check bool) "fingerprints differ" true
+    (Batch.fingerprint (batch "a" "b") <> Batch.fingerprint (batch "b" "a"));
+  List.iter
+    (fun (a, b) ->
+      Alcotest.(check bool) (Printf.sprintf "[%s; %s] bitwise" a b) true
+        (check_compiled_vs_interpreter ~options:default db (batch a b)))
+    [ ("a", "b"); ("b", "a") ]
+
+(* Two batches with different aggregates but the same CRC-32 fingerprint,
+   found by a birthday search over random 8-byte batch names (about 2^16
+   tries; CRC-32 is linear, so names that differ only in a few digits
+   never collide): a hit must compare the cached batch, not just the
+   key. *)
+let colliding_batches () =
+  let rng = Util.Prng.create 1 in
+  let batch i =
+    {
+      Batch.name = String.init 8 (fun _ -> Char.chr (Util.Prng.int rng 256));
+      aggregates =
+        [ Spec.make ~id:"s" ~terms:[ ((if i land 1 = 0 then "m1" else "m2"), 1) ] ~group_by:[] () ];
+    }
+  in
+  let seen = Hashtbl.create 200_000 in
+  let rec search i =
+    if i > 2_000_000 then Alcotest.fail "no fingerprint collision found";
+    let b = batch i in
+    let fp = Batch.fingerprint b in
+    match Hashtbl.find_opt seen fp with
+    | Some (j, b') when (i - j) land 1 = 1 -> (b', b)
+    | _ ->
+        Hashtbl.replace seen fp (i, b);
+        search (i + 1)
+  in
+  search 0
+
+let fingerprint_collision () =
+  let db = random_star (Util.Prng.create 5) 20 4 in
+  let first, second = colliding_batches () in
+  Alcotest.(check int) "same fingerprint" (Batch.fingerprint first)
+    (Batch.fingerprint second);
+  List.iter
+    (fun b ->
+      Alcotest.(check bool) (b.Batch.name ^ " bitwise") true
+        (check_compiled_vs_interpreter ~options:default db b))
+    [ first; second; first ]
+
+(* Every node batch of a trained tree through both engines. A node's path
+   is its ancestors' split predicates, conjoined the way the trainers
+   conjoin them, so walking the tree rebuilds exactly the batches training
+   evaluated (leaves included). *)
+let node_paths (children : 't -> (Ml.Decision_tree.split * 't * 't) option) tree =
+  let extend path p =
+    match path with Predicate.True -> p | _ -> Predicate.And (path, p)
+  in
+  let rec walk path t acc =
+    let acc = path :: acc in
+    match children t with
+    | None -> acc
+    | Some (split, l, r) ->
+        let pl, pr =
+          match split with
+          | Ml.Decision_tree.Threshold (x, c) ->
+              (Predicate.Ge (x, flt c), Predicate.Lt (x, flt c))
+          | Category (k, v) -> (Predicate.Eq (k, v), Predicate.Not (Predicate.Eq (k, v)))
+        in
+        walk (extend path pr) r (walk (extend path pl) l acc)
+  in
+  List.rev (walk Predicate.True tree [])
+
+let datagen_sets () =
+  [
+    ("retailer", Datagen.Retailer.generate ~scale:0.01 ~seed:21 (), Datagen.Retailer.features);
+    ("favorita", Datagen.Favorita.generate ~scale:0.02 ~seed:22 (), Datagen.Favorita.features);
+    ("yelp", Datagen.Yelp.generate ~scale:0.02 ~seed:23 (), Datagen.Yelp.features);
+    ("tpcds", Datagen.Tpcds.generate ~scale:0.02 ~seed:24 (), Datagen.Tpcds.features);
+  ]
+
+let check_nodes name db specs_of paths =
+  List.iteri
+    (fun i path ->
+      let batch = { Batch.name = "node"; aggregates = specs_of path } in
+      Alcotest.(check bool) (Printf.sprintf "%s node %d bitwise" name i) true
+        (check_compiled_vs_interpreter ~options:default db batch))
+    paths
+
+let tree_node_batches () =
+  List.iter
+    (fun (name, db, (f : Feature.t)) ->
+      let thresholds = Ml.Decision_tree.thresholds_of_db db f in
+      let tree =
+        Ml.Decision_tree.train
+          ~params:{ Ml.Decision_tree.default_params with max_depth = 3 }
+          db f
+      in
+      let paths =
+        node_paths
+          (function
+            | Ml.Decision_tree.Leaf _ -> None
+            | Node { split; left; right; _ } -> Some (split, left, right))
+          tree
+      in
+      Alcotest.(check int) (name ^ " one batch per node")
+        (Ml.Decision_tree.size tree) (List.length paths);
+      Alcotest.(check bool) (name ^ " tree splits") true (List.length paths > 1);
+      check_nodes (name ^ " regression") db
+        (fun path -> Ml.Decision_tree.node_specs ~path f thresholds)
+        paths;
+      (* classify the first categorical feature from the rest *)
+      let class_attr = List.hd f.categorical in
+      let cf =
+        Feature.make ~thresholds_per_feature:f.thresholds_per_feature
+          ~continuous:f.continuous ~categorical:(List.tl f.categorical) ()
+      in
+      let ctree =
+        Ml.Classification_tree.train
+          ~params:{ Ml.Classification_tree.default_params with max_depth = 3 }
+          db ~class_attr cf
+      in
+      let cpaths =
+        node_paths
+          (function
+            | Ml.Classification_tree.Leaf _ -> None
+            | Node { split; left; right; _ } -> Some (split, left, right))
+          ctree
+      in
+      Alcotest.(check int) (name ^ " one class batch per node")
+        (Ml.Classification_tree.size ctree) (List.length cpaths);
+      check_nodes (name ^ " classification") db
+        (fun path -> Ml.Classification_tree.node_specs ~path ~class_attr cf thresholds)
+        cpaths)
+    (datagen_sets ())
+
+(* Filling the plan cache past its capacity evicts least recently used
+   plans: the size gauge never exceeds the cap, evicted batches recompile
+   to the interpreter's bits, and the newest entry still hits. *)
+let bounded_cache () =
+  let db = random_star (Util.Prng.create 31) 20 4 in
+  let batch i =
+    {
+      Batch.name = Printf.sprintf "fill%d" i;
+      aggregates =
+        [
+          Spec.make ~id:"s"
+            ~filter:(Predicate.Ge ("m1", flt (float_of_int (i mod 10))))
+            ~terms:[ ("m2", 1) ] ~group_by:[] ();
+        ];
+    }
+  in
+  let cap = Cengine.cache_capacity in
+  let size = Obs.gauge "lmfao.compile.cache_size" in
+  let counter = Obs.counter_value_by_name in
+  Alcotest.(check bool) "capacity >= 64" true (cap >= 64);
+  Obs.reset ();
+  Obs.with_enabled true (fun () ->
+      let n = cap + 16 in
+      for i = 0 to n - 1 do
+        ignore (Cengine.eval_batch db (batch i));
+        if Obs.gauge_value size > float_of_int cap then
+          Alcotest.failf "cache size %g above capacity %d" (Obs.gauge_value size) cap
+      done;
+      Alcotest.(check (float 0.0)) "cache full" (float_of_int cap) (Obs.gauge_value size);
+      let plans = counter "lmfao.compile.plans" in
+      for i = 0 to 15 do
+        Alcotest.(check bool) (Printf.sprintf "evicted fill%d bitwise" i) true
+          (check_compiled_vs_interpreter ~options:default db (batch i))
+      done;
+      Alcotest.(check int) "evicted plans recompiled" (plans + 16)
+        (counter "lmfao.compile.plans");
+      let hits = counter "lmfao.compile.cache_hits" in
+      ignore (Cengine.eval_batch db (batch (n - 1)));
+      Alcotest.(check int) "newest entry kept" (hits + 1)
+        (counter "lmfao.compile.cache_hits");
+      Alcotest.(check (float 0.0)) "still at capacity" (float_of_int cap)
+        (Obs.gauge_value size));
+  Obs.reset ()
+
 (* ---- stage equivalence of the IR passes ---- *)
 
 let lowered_plans db batch options =
@@ -419,6 +617,17 @@ let () =
             plan_cache_behaviour;
           Alcotest.test_case "signature revalidates roots" `Quick
             cache_revalidates_roots;
+          Alcotest.test_case "permuted ids do not share a plan" `Quick
+            permuted_ids;
+          Alcotest.test_case "fingerprint collision does not share a plan"
+            `Quick fingerprint_collision;
+          Alcotest.test_case "bounded: LRU eviction, size gauge" `Quick
+            bounded_cache;
+        ] );
+      ( "tree-nodes",
+        [
+          Alcotest.test_case "every node batch bitwise, four datasets" `Quick
+            tree_node_batches;
         ] );
       ( "passes",
         [

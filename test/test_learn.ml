@@ -154,6 +154,16 @@ let warm_refresh_differential =
           true)
         strategies)
 
+(* QCheck seeds on which warm linreg-cg / linreg-gd once missed the cold
+   retrain by ~1e-3 relative: CG stopped on an absolute bound on the
+   squared residual, and exact-line-search GD ran out of iterations on a
+   warm start's error along a flat (ridge-only) direction. *)
+let regression_seeds = [ 876927690; 641507974; 1802817; 723511512 ]
+
+let warm_refresh_regression seed () =
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| seed |])
+    warm_refresh_differential
+
 (* The snapshot-backed models (fm forces monomial moments, huber forces the
    row matrix — both recomputed from a snapshot because the triple only
    carries degree-2 moments) ride the same audit under their convergence
@@ -315,7 +325,14 @@ let qcheck = QCheck_alcotest.to_alcotest
 let () =
   Alcotest.run "learn"
     [
-      ("differential", [ qcheck warm_refresh_differential ]);
+      ( "differential",
+        qcheck warm_refresh_differential
+        :: List.map
+             (fun seed ->
+               Alcotest.test_case
+                 (Printf.sprintf "warm refresh regression seed %d" seed)
+                 `Quick (warm_refresh_regression seed))
+             regression_seeds );
       ( "models",
         [
           Alcotest.test_case "snapshot-backed models (fm, huber)" `Quick

@@ -3,7 +3,8 @@
    The headline property: a served result — whether it came from the cache,
    from an in-place covariance refresh after a delta batch, or from a
    recompute after invalidation — is BIT-identical to a fresh
-   [Lmfao.Engine.eval] over the server's current snapshot, at every point
+   [Lmfao.Engine.eval] (the interpreter, the oracle) over the server's
+   current snapshot, at every point
    of a random insert/delete stream, for all three maintenance strategies.
    Bitwise equality across the maintained and recomputed pipelines only
    holds under exact float arithmetic, so the streams draw feature values
@@ -171,6 +172,62 @@ let test_stats_and_epoch () =
   Alcotest.(check int) "refresh served without recompute" (before + 1)
     (Serve.stats srv).Serve.hits
 
+(* The result cache is keyed by [Batch.fingerprint], which once left the
+   aggregate ids out: [a=SUM(m); b=SUM(u)] then [b=SUM(m); a=SUM(u)] hit
+   the first entry and came back with [a] and [b] swapped. *)
+let test_permuted_ids () =
+  let srv = Serve.create M.F_ivm (empty_db ()) ~features in
+  Serve.apply_deltas srv (lattice_stream ~seed:5 ~steps:40);
+  let batch a b =
+    {
+      Batch.name = "perm";
+      aggregates =
+        [
+          Spec.make ~id:a ~terms:[ ("m", 1) ] ~group_by:[] ();
+          Spec.make ~id:b ~terms:[ ("u", 1) ] ~group_by:[] ();
+        ];
+    }
+  in
+  let sum id = Spec.scalar_result (List.assoc id (fresh_eval srv (batch "a" "b"))) in
+  Alcotest.(check bool) "SUM(m) <> SUM(u) on this data" true (sum "a" <> sum "b");
+  List.iter
+    (fun (a, b) ->
+      Alcotest.(check bool) (Printf.sprintf "served [%s; %s] bitwise" a b) true
+        (results_bit_identical (Serve.serve srv (batch a b)) (fresh_eval srv (batch a b))))
+    [ ("a", "b"); ("b", "a"); ("a", "b") ]
+
+(* Two batches with different aggregates but the same CRC-32 fingerprint,
+   found by a birthday search over random 8-byte batch names (about 2^16
+   tries): a hit must compare the cached batch, not just the key. *)
+let test_fingerprint_collision () =
+  let rng = Util.Prng.create 1 in
+  let batch i =
+    {
+      Batch.name = String.init 8 (fun _ -> Char.chr (Util.Prng.int rng 256));
+      aggregates =
+        [ Spec.make ~id:"s" ~terms:[ ((if i land 1 = 0 then "m" else "u"), 1) ] ~group_by:[] () ];
+    }
+  in
+  let seen = Hashtbl.create 200_000 in
+  let rec search i =
+    if i > 2_000_000 then Alcotest.fail "no fingerprint collision found";
+    let b = batch i in
+    let fp = Batch.fingerprint b in
+    match Hashtbl.find_opt seen fp with
+    | Some (j, b') when (i - j) land 1 = 1 -> (b', b)
+    | _ ->
+        Hashtbl.replace seen fp (i, b);
+        search (i + 1)
+  in
+  let first, second = search 0 in
+  let srv = Serve.create M.F_ivm (empty_db ()) ~features in
+  Serve.apply_deltas srv (lattice_stream ~seed:5 ~steps:40);
+  List.iter
+    (fun b ->
+      Alcotest.(check bool) ("served " ^ b.Batch.name ^ " bitwise") true
+        (results_bit_identical (Serve.serve srv b) (fresh_eval srv b)))
+    [ first; second; first; second ]
+
 (* Concurrent clients: K pool tasks serving the same mix must each get the
    bit-identical answer. A worker budget is forced (this machine may
    default to zero tokens) so real domains are exercised. *)
@@ -270,6 +327,10 @@ let () =
             test_stats_and_epoch;
           Alcotest.test_case "concurrent clients" `Quick
             test_concurrent_clients;
+          Alcotest.test_case "permuted ids do not share an entry" `Quick
+            test_permuted_ids;
+          Alcotest.test_case "fingerprint collision does not share an entry"
+            `Quick test_fingerprint_collision;
         ] );
       ( "writer",
         [
