@@ -1135,20 +1135,6 @@ let traffic_bench () =
    every machine. Scale 1.0 is the repo's full retailer (84K Inventory
    rows, 1/1000 of the paper's 84M — the shape, not the wall-clock). *)
 
-let results_bit_equal (a : (string * Aggregates.Spec.result) list)
-    (b : (string * Aggregates.Spec.result) list) =
-  let bits = Int64.bits_of_float in
-  List.length a = List.length b
-  && List.for_all2
-       (fun (ida, ra) (idb, rb) ->
-         ida = idb
-         && List.length ra = List.length rb
-         && List.for_all2
-              (fun (ka, va) (kb, vb) ->
-                ka = kb && bits va = bits vb)
-              ra rb)
-       a b
-
 let outofcore () =
   header "Out-of-core: fig3 covariance batch over the paged store"
     "LMFAO/F-IVM report at full scale; working set no longer fits";
@@ -1204,13 +1190,15 @@ let outofcore () =
       let plan = Compile.Engine.compile sdb batch in
       let r_compiled = Compile.Engine.run plan sdb in
       let peak = int_of_float (Obs.gauge_value peak_gauge) in
-      let ok =
-        results_bit_equal r_mem r_paged && results_bit_equal r_mem r_compiled
-      in
-      if not ok then
-        failwith
-          (Printf.sprintf
-             "outofcore: paged results differ from in-memory at scale %g" s);
+      (match
+         Result.bind (Oracle.keyed r_paged r_mem) (fun () ->
+             Oracle.keyed r_compiled r_mem)
+       with
+      | Ok () -> ()
+      | Error diff ->
+          failwith
+            (Printf.sprintf
+               "outofcore: paged results differ from in-memory at scale %g: %s" s diff));
       if peak > cache_pages then
         failwith
           (Printf.sprintf
@@ -1252,11 +1240,6 @@ let outofcore () =
    number is only ever printed for a stream that was maintained CORRECTLY. *)
 let scenarios_bench () =
   header "Hostile-stream maintenance throughput (dataset x shape, F-IVM)" "";
-  let cov_bits c =
-    let b = Buffer.create 512 in
-    Rings.Covariance.encode b c;
-    Buffer.contents b
-  in
   let datasets =
     [
       ("retailer", Datagen.Retailer.generate, Datagen.Retailer.ivm_features);
@@ -1291,12 +1274,11 @@ let scenarios_bench () =
             Util.Timing.time (fun () ->
                 List.iter (Fivm.Maintainer.apply_batch m) batches)
           in
-          if
-            not
-              (String.equal
-                 (cov_bits (Fivm.Maintainer.covariance m))
-                 (cov_bits (Fivm.Maintainer.recompute m)))
-          then failwith (Printf.sprintf "scenarios: %s x %s diverged" name sname);
+          Result.iter_error
+            (fun diff ->
+              failwith (Printf.sprintf "scenarios: %s x %s diverged at %s" name sname diff))
+            (Oracle.covariance (Fivm.Maintainer.covariance m)
+               (Fivm.Maintainer.recompute m));
           Printf.printf "%-10s %-14s %9d %9d %12s %14.0f\n%!" name sname updates
             deletes
             (Util.Timing.to_string wall)

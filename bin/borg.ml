@@ -16,6 +16,7 @@ type dataset_spec = {
   generate : ?scale:float -> seed:int -> unit -> Database.t;
   features : Aggregates.Feature.t;
   ivm_features : string list;
+  mi_attrs : string list;
 }
 
 let datasets =
@@ -25,24 +26,28 @@ let datasets =
         generate = Datagen.Retailer.generate;
         features = Datagen.Retailer.features;
         ivm_features = Datagen.Retailer.ivm_features;
+        mi_attrs = Datagen.Retailer.mi_attrs;
       } );
     ( "favorita",
       {
         generate = Datagen.Favorita.generate;
         features = Datagen.Favorita.features;
         ivm_features = Datagen.Favorita.ivm_features;
+        mi_attrs = Datagen.Favorita.mi_attrs;
       } );
     ( "yelp",
       {
         generate = Datagen.Yelp.generate;
         features = Datagen.Yelp.features;
         ivm_features = Datagen.Yelp.ivm_features;
+        mi_attrs = Datagen.Yelp.mi_attrs;
       } );
     ( "tpcds",
       {
         generate = Datagen.Tpcds.generate;
         features = Datagen.Tpcds.features;
         ivm_features = Datagen.Tpcds.ivm_features;
+        mi_attrs = Datagen.Tpcds.mi_attrs;
       } );
   ]
 
@@ -57,6 +62,21 @@ let scale_arg =
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed.")
+
+(* ---- maintenance strategy (ivm, maintain, serve, learn, traffic) ---- *)
+
+let strategy_arg ~doc =
+  let mconv =
+    Arg.enum
+      [
+        ("fivm", Fivm.Maintainer.F_ivm);
+        ("higher", Fivm.Maintainer.Higher_order);
+        ("first", Fivm.Maintainer.First_order);
+      ]
+  in
+  Arg.(value & opt mconv Fivm.Maintainer.F_ivm & info [ "method" ] ~docv:"M" ~doc)
+
+let method_arg = strategy_arg ~doc:"fivm | higher | first"
 
 (* ---- observability flags (shared by every workload command) ---- *)
 
@@ -182,17 +202,10 @@ let batches_cmd =
       "decision-node" "mutual-info" "k-means";
     List.iter
       (fun (name, spec) ->
-        let mi =
-          match name with
-          | "retailer" -> Datagen.Retailer.mi_attrs
-          | "favorita" -> Datagen.Favorita.mi_attrs
-          | "yelp" -> Datagen.Yelp.mi_attrs
-          | _ -> Datagen.Tpcds.mi_attrs
-        in
         Printf.printf "%-12s %16d %16d %16d %12d\n" name
           (Aggregates.Batch.size (Aggregates.Batch.covariance spec.features))
           (Aggregates.Batch.size (Aggregates.Batch.decision_node spec.features))
-          (Aggregates.Batch.size (Aggregates.Batch.mutual_information mi))
+          (Aggregates.Batch.size (Aggregates.Batch.mutual_information spec.mi_attrs))
           (Aggregates.Batch.size (Aggregates.Batch.kmeans spec.features)))
       datasets
   in
@@ -203,18 +216,6 @@ let batches_cmd =
 (* ---- ivm ---- *)
 
 let ivm_cmd =
-  let method_arg =
-    let mconv =
-      Arg.enum
-        [
-          ("fivm", Fivm.Maintainer.F_ivm);
-          ("higher", Fivm.Maintainer.Higher_order);
-          ("first", Fivm.Maintainer.First_order);
-        ]
-    in
-    Arg.(value & opt mconv Fivm.Maintainer.F_ivm
-         & info [ "method" ] ~docv:"M" ~doc:"fivm | higher | first")
-  in
   let limit_arg =
     Arg.(value & opt int max_int & info [ "limit" ] ~docv:"N" ~doc:"Insert at most N tuples.")
   in
@@ -246,18 +247,6 @@ let ivm_cmd =
 (* ---- maintain: resilient IVM with WAL, checkpoints and fault injection ---- *)
 
 let maintain_cmd =
-  let method_arg =
-    let mconv =
-      Arg.enum
-        [
-          ("fivm", Fivm.Maintainer.F_ivm);
-          ("higher", Fivm.Maintainer.Higher_order);
-          ("first", Fivm.Maintainer.First_order);
-        ]
-    in
-    Arg.(value & opt mconv Fivm.Maintainer.F_ivm
-         & info [ "method" ] ~docv:"M" ~doc:"fivm | higher | first")
-  in
   let limit_arg =
     Arg.(value & opt int max_int & info [ "limit" ] ~docv:"N" ~doc:"Insert at most N tuples.")
   in
@@ -345,22 +334,6 @@ let maintain_cmd =
     in
     Fun.protect ~finally:cleanup @@ fun () ->
     let make () = Fivm.Maintainer.create strategy db ~features:spec.ivm_features in
-    let bit_identical (cov : Rings.Covariance.t) (reference : Rings.Covariance.t) =
-      let bits = Int64.bits_of_float in
-      let dim = Rings.Covariance.dim reference in
-      let identical = ref (bits cov.Rings.Covariance.c = bits reference.Rings.Covariance.c) in
-      for i = 0 to dim - 1 do
-        if bits (Util.Vec.get cov.Rings.Covariance.s i)
-           <> bits (Util.Vec.get reference.Rings.Covariance.s i)
-        then identical := false;
-        for j = 0 to dim - 1 do
-          if bits (Util.Mat.get cov.Rings.Covariance.q i j)
-             <> bits (Util.Mat.get reference.Rings.Covariance.q i j)
-          then identical := false
-        done
-      done;
-      !identical
-    in
     let t0 = Unix.gettimeofday () in
     (* Single shard: the bare driver with an in-process restart loop.
        Sharded: per-shard drivers with in-task recovery (Resilience.Sharded). *)
@@ -462,14 +435,14 @@ let maintain_cmd =
         close_out oc;
         Printf.printf "digest: %s" digest)
       digest_out;
-    if verify then begin
-      if bit_identical cov (reference ()) then
-        Printf.printf "verify: recovered covariance is bit-identical to the clean run\n"
-      else begin
-        Printf.eprintf "borg maintain: recovered covariance DIVERGES from the clean run\n";
-        exit 1
-      end
-    end
+    if verify then
+      match Oracle.covariance cov (reference ()) with
+      | Ok () ->
+          Printf.printf "verify: recovered covariance is bit-identical to the clean run\n"
+      | Error diff ->
+          Printf.eprintf
+            "borg maintain: recovered covariance DIVERGES from the clean run at %s\n" diff;
+          exit 1
   in
   Cmd.v
     (Cmd.info "maintain"
@@ -541,35 +514,14 @@ let agg_cmd =
          & info [ "batch" ] ~docv:"B"
              ~doc:"Batch: covariance | decision-node | mutual-info | kmeans.")
   in
-  (* bitwise comparison of keyed results: same ids, same assignments in
-     the same order, every float identical to the last bit *)
-  let bits_identical a b =
-    List.length a = List.length b
-    && List.for_all2
-         (fun (id, mine) (id', theirs) ->
-           String.equal id id'
-           && List.length mine = List.length theirs
-           && List.for_all2
-                (fun (k, v) (k', v') ->
-                  k = k' && Int64.bits_of_float v = Int64.bits_of_float v')
-                mine theirs)
-         a b
-  in
   let run (name, spec) scale seed engine batch_name check trace metrics_out =
     with_obs trace metrics_out @@ fun () ->
     let db = spec.generate ~scale ~seed () in
-    let mi =
-      match name with
-      | "retailer" -> Datagen.Retailer.mi_attrs
-      | "favorita" -> Datagen.Favorita.mi_attrs
-      | "yelp" -> Datagen.Yelp.mi_attrs
-      | _ -> Datagen.Tpcds.mi_attrs
-    in
     let batch =
       match batch_name with
       | `Covariance -> Aggregates.Batch.covariance spec.features
       | `Decision_node -> Aggregates.Batch.decision_node spec.features
-      | `Mutual_info -> Aggregates.Batch.mutual_information mi
+      | `Mutual_info -> Aggregates.Batch.mutual_information spec.mi_attrs
       | `Kmeans -> Aggregates.Batch.kmeans spec.features
     in
     Printf.printf "engine %s: %s\n"
@@ -590,25 +542,27 @@ let agg_cmd =
          cache, so the audit also covers the cached path *)
       let again = Aggregates.Engine_intf.eval engine db batch in
       let reference = Lmfao.Engine.eval_batch db batch in
-      let bitwise =
-        String.length ename >= 5 && String.sub ename 0 5 = "lmfao"
-      in
+      let bitwise = List.mem ename [ Lmfao.Engine.name; Compile.Engine.name ] in
       let agree a b =
-        if bitwise then bits_identical a b
-        else
+        if bitwise then Oracle.keyed a b
+        else if
           List.length a = List.length b
           && List.for_all2
                (fun (id, r) (id', r') ->
                  String.equal id id' && Aggregates.Spec.result_equal r r')
                (List.sort compare a) (List.sort compare b)
+        then Ok ()
+        else Error "beyond the Spec.result_equal tolerance"
       in
-      let ok_rerun = agree results again in
-      let ok_ref = agree results reference in
+      let verdict = function
+        | Ok () -> "identical"
+        | Error diff -> "DIVERGED (" ^ diff ^ ")"
+      in
+      let rerun = agree results again and vs_ref = agree results reference in
       Printf.printf "check (%s): rerun %s, vs interpreter %s\n"
         (if bitwise then "bitwise" else "numeric")
-        (if ok_rerun then "identical" else "DIVERGED")
-        (if ok_ref then "identical" else "DIVERGED");
-      if not (ok_rerun && ok_ref) then begin
+        (verdict rerun) (verdict vs_ref);
+      if Result.is_error rerun || Result.is_error vs_ref then begin
         Printf.eprintf "borg agg: engine %s diverges from the reference\n"
           ename;
         exit 1
@@ -665,25 +619,26 @@ let serve_cmd =
   (* [exact]: demand bit identity (sound only for exact float arithmetic —
      the lattice stream). Otherwise served and recomputed sums may differ
      in summation order, so compare with the same relative tolerance as
-     Covariance.equal_rel. *)
+     Covariance.equal_rel. Ids are sorted; rows keep their order. *)
   let results_agree ~exact a b =
-    let same v1 v2 =
-      if exact then Int64.bits_of_float v1 = Int64.bits_of_float v2
-      else
-        Float.abs (v1 -. v2)
-        <= 1e-9 *. (1.0 +. Float.abs v1 +. Float.abs v2)
-    in
     let by_id l = List.sort (fun (i, _) (j, _) -> compare i j) l in
     let a = by_id a and b = by_id b in
-    List.length a = List.length b
-    && List.for_all2
-         (fun (id1, r1) (id2, r2) ->
-           String.equal id1 id2
-           && List.length r1 = List.length r2
-           && List.for_all2
-                (fun (k1, v1) (k2, v2) -> k1 = k2 && same v1 v2)
-                r1 r2)
-         a b
+    if exact then Oracle.keyed a b
+    else if
+      List.length a = List.length b
+      && List.for_all2
+           (fun (id1, r1) (id2, r2) ->
+             String.equal id1 id2
+             && List.length r1 = List.length r2
+             && List.for_all2
+                  (fun (k1, v1) (k2, v2) ->
+                    k1 = k2
+                    && Float.abs (v1 -. v2)
+                       <= 1e-9 *. (1.0 +. Float.abs v1 +. Float.abs v2))
+                  r1 r2)
+           a b
+    then Ok ()
+    else Error "beyond 1e-9 relative error"
   in
   let target_arg =
     let sconv =
@@ -692,18 +647,6 @@ let serve_cmd =
         :: List.map (fun (n, s) -> (n, `Gen (n, s))) datasets)
     in
     Arg.(required & pos 0 (some sconv) None & info [] ~docv:"DATASET")
-  in
-  let method_arg =
-    let mconv =
-      Arg.enum
-        [
-          ("fivm", Fivm.Maintainer.F_ivm);
-          ("higher", Fivm.Maintainer.Higher_order);
-          ("first", Fivm.Maintainer.First_order);
-        ]
-    in
-    Arg.(value & opt mconv Fivm.Maintainer.F_ivm
-         & info [ "method" ] ~docv:"M" ~doc:"fivm | higher | first")
   in
   let clients_arg =
     Arg.(value & opt int 4
@@ -742,14 +685,7 @@ let serve_cmd =
            lattice_stream ~seed ~steps:limit)
       | `Gen (n, spec) ->
           let db = spec.generate ~scale ~seed () in
-          let mi =
-            match n with
-            | "retailer" -> Datagen.Retailer.mi_attrs
-            | "favorita" -> Datagen.Favorita.mi_attrs
-            | "yelp" -> Datagen.Yelp.mi_attrs
-            | _ -> Datagen.Tpcds.mi_attrs
-          in
-          ( n, db, spec.ivm_features, mi,
+          ( n, db, spec.ivm_features, spec.mi_attrs,
             List.filteri (fun i _ -> i < limit)
               (Datagen.Stream_gen.inserts_of_database db) )
     in
@@ -784,26 +720,13 @@ let serve_cmd =
               (Lmfao.Engine.eval ~on_cyclic:`Materialize (Serve.snapshot srv) b)
                 .Lmfao.Engine.keyed
             in
-            if not (results_agree ~exact got fresh) then begin
-              Printf.eprintf
-                "borg serve: served %s DIVERGES from recompute at epoch %d\n"
-                b.Aggregates.Batch.name (Serve.epoch srv);
-              List.iter
-                (fun (id, r1) ->
-                  match List.assoc_opt id fresh with
-                  | Some r2 when r1 = r2 -> ()
-                  | r2 ->
-                      Printf.eprintf "  %s: served %s vs fresh %s\n" id
-                        (String.concat ";"
-                           (List.map (fun (_, v) -> Printf.sprintf "%h" v) r1))
-                        (match r2 with
-                        | None -> "<missing>"
-                        | Some r2 ->
-                            String.concat ";"
-                              (List.map (fun (_, v) -> Printf.sprintf "%h" v) r2)))
-                got;
-              exit 1
-            end
+            match results_agree ~exact got fresh with
+            | Ok () -> ()
+            | Error diff ->
+                Printf.eprintf
+                  "borg serve: served %s DIVERGES from recompute at epoch %d: %s\n"
+                  b.Aggregates.Batch.name (Serve.epoch srv) diff;
+                exit 1
           end)
         batches
     in
@@ -858,17 +781,8 @@ let learn_cmd =
              ~doc:(Printf.sprintf "Registry models to serve (known: %s)." known))
   in
   let method_arg =
-    let mconv =
-      Arg.enum
-        [
-          ("fivm", Fivm.Maintainer.F_ivm);
-          ("higher", Fivm.Maintainer.Higher_order);
-          ("first", Fivm.Maintainer.First_order);
-        ]
-    in
-    Arg.(value & opt mconv Fivm.Maintainer.F_ivm
-         & info [ "method" ] ~docv:"M"
-             ~doc:"fivm | higher | first (ignored under --check, which runs all three).")
+    strategy_arg
+      ~doc:"fivm | higher | first (ignored under --check, which runs all three)."
   in
   let rounds_arg =
     Arg.(value & opt int 100
@@ -973,13 +887,9 @@ let learn_cmd =
               in
               (match Ml.Models.refresh_audit spec with
               | `Bitwise ->
-                  let bytes p =
-                    let b = Buffer.create 256 in
-                    Ml.Model_intf.encode_packed b p;
-                    Buffer.contents b
-                  in
-                  if not (String.equal (bytes warm) (bytes cold)) then
-                    diverged "encoded parameters differ bitwise"
+                  Result.iter_error
+                    (fun diff -> diverged ("encoded parameters differ at " ^ diff))
+                    (Oracle.packed warm cold)
               | `Tolerance tol ->
                   List.iter
                     (fun probe ->
@@ -1083,18 +993,6 @@ let traffic_cmd =
   let tenants_arg =
     Arg.(value & opt int 4
          & info [ "tenants" ] ~docv:"K" ~doc:"Tenant population (Zipf-active).")
-  in
-  let method_arg =
-    let mconv =
-      Arg.enum
-        [
-          ("fivm", Fivm.Maintainer.F_ivm);
-          ("higher", Fivm.Maintainer.Higher_order);
-          ("first", Fivm.Maintainer.First_order);
-        ]
-    in
-    Arg.(value & opt mconv Fivm.Maintainer.F_ivm
-         & info [ "method" ] ~docv:"M" ~doc:"fivm | higher | first")
   in
   let faults_arg =
     Arg.(value & opt (some string) None
@@ -1300,7 +1198,7 @@ let traffic_cmd =
     in
     let report =
       Traffic.Driver.run ~lanes ~flush_interval:(duration /. 15.0)
-        ~check:(if check then Traffic.Driver.Exact else Traffic.Driver.No_check)
+        ~check
         adm ~catalog ~events
     in
     Printf.printf
@@ -1411,22 +1309,6 @@ let store_cmd =
                    directory, and check a paged scan reproduces the source \
                    relation bit for bit. Exits non-zero on any mismatch.")
   in
-  let tuples_bit_equal a b =
-    Array.length a = Array.length b
-    && (let ok = ref true in
-        Array.iteri
-          (fun i x ->
-            let y = b.(i) in
-            let eq =
-              match (x, y) with
-              | Value.Float f, Value.Float g ->
-                  Int64.bits_of_float f = Int64.bits_of_float g
-              | _ -> Value.equal x y
-            in
-            if not eq then ok := false)
-          a;
-        !ok)
-  in
   let run (dataset_name, spec) scale seed dir page_rows cache_pages shards
       verify trace metrics_out =
     with_obs trace metrics_out @@ fun () ->
@@ -1467,23 +1349,26 @@ let store_cmd =
                     (Relational.Codec.error_message e));
               (* paged scan == source, bit for bit, through the page cache
                  (small budgets force evictions mid-scan) *)
-              let base = ref 0 and bad = ref 0 in
+              let base = ref 0 and bad = ref 0 and first = ref "" in
               Store.Paged.iter_chunks p (fun chunk ->
                   for i = 0 to Relation.cardinality chunk - 1 do
-                    if
-                      not
-                        (tuples_bit_equal (Relation.get chunk i)
-                           (Relation.get rel (!base + i)))
-                    then incr bad
+                    match
+                      Oracle.tuple (Relation.get chunk i) (Relation.get rel (!base + i))
+                    with
+                    | Ok () -> ()
+                    | Error diff ->
+                        if !bad = 0 then
+                          first := Printf.sprintf " (first: row %d, %s)" (!base + i) diff;
+                        incr bad
                   done;
                   base := !base + Relation.cardinality chunk);
               if !base <> Relation.cardinality rel || !bad > 0 then begin
                 incr failures;
                 Printf.printf
-                  "  %-12s FAILED round-trip: %d rows (want %d), %d mismatched\n"
+                  "  %-12s FAILED round-trip: %d rows (want %d), %d mismatched%s\n"
                   rname !base
                   (Relation.cardinality rel)
-                  !bad
+                  !bad !first
               end;
               (* re-touch the most recent page: it must still be resident,
                  so this records a cache hit (retention within budget) *)

@@ -39,50 +39,20 @@ type cell = {
 let layers = [ "maintain"; "shard"; "resilience"; "serve"; "model"; "streamed" ]
 let cell_ok c = List.for_all (fun ch -> ch.ok) c.checks
 
-(* ---- bit-pattern comparisons ---- *)
-
-let cov_bits (c : Rings.Covariance.t) =
-  let b = Buffer.create 512 in
-  Rings.Covariance.encode b c;
-  Buffer.contents b
-
-(* Keyed engine results compared key-by-key and bit-by-bit: group keys as
-   strings, aggregate values by their float bit patterns. Aggregates are
-   canonicalised by id and groups by key — the serving cache returns batch
-   order while a raw engine evaluation groups by decomposition root, and
-   only the CONTENTS must match. *)
-let keyed_bits (rs : (string * Aggregates.Spec.result) list) =
-  let key_string key =
-    String.concat ";"
-      (List.map (fun (attr, kv) -> attr ^ "=" ^ Value.to_string kv) key)
+(* A check from its differentials [(lhs, rhs, verdict)]: ok when every
+   verdict holds and [ok] does; the detail reads "lhs == rhs" per pair, or
+   "lhs <> rhs at <first differing coordinate>". *)
+let differential ?(ok = true) ~layer context pairs =
+  let pair (lhs, rhs, v) =
+    match v with
+    | Ok () -> Printf.sprintf "%s == %s" lhs rhs
+    | Error diff -> Printf.sprintf "%s <> %s at %s" lhs rhs diff
   in
-  let rs =
-    List.sort (fun (i, _) (j, _) -> compare i j) rs
-    |> List.map (fun (id, groups) ->
-           ( id,
-             List.sort compare
-               (List.map (fun (key, v) -> (key_string key, Int64.bits_of_float v)) groups)
-           ))
-  in
-  let b = Buffer.create 512 in
-  List.iter
-    (fun (id, groups) ->
-      Buffer.add_string b id;
-      Buffer.add_char b '\n';
-      List.iter
-        (fun (ks, bits) ->
-          Buffer.add_string b ks;
-          Buffer.add_char b '=';
-          Buffer.add_int64_le b bits;
-          Buffer.add_char b '\n')
-        groups)
-    rs;
-  Buffer.contents b
-
-let packed_bits p =
-  let b = Buffer.create 128 in
-  Ml.Model_intf.encode_packed b p;
-  Buffer.contents b
+  {
+    layer;
+    ok = ok && List.for_all (fun (_, _, v) -> Result.is_ok v) pairs;
+    detail = Printf.sprintf "%s: %s" context (String.concat ", " (List.map pair pairs));
+  }
 
 let with_temp_dir f =
   let dir = Filename.temp_dir "scenario" "" in
@@ -115,32 +85,29 @@ let zero_residue_rows (m : M.t) =
         0 views
   | _ -> 0
 
-let check_maintain strategy db ~features batches =
+(* Every strategy must match its own recompute AND land on the f-ivm
+   [reference] triple. *)
+let check_maintain strategy db ~features batches ~reference =
   let m = maintained strategy db ~features batches in
-  let got = cov_bits (M.covariance m) and want = cov_bits (M.recompute m) in
+  let cov = M.covariance m in
   let residue = if strategy = M.F_ivm then zero_residue_rows m else 0 in
-  let ok = String.equal got want && residue = 0 in
-  let detail =
-    Printf.sprintf "%s: maintained %s recompute, %d view rows, %d zero-residue"
-      (M.strategy_name strategy)
-      (if String.equal got want then "==" else "<>")
-      (M.view_rows m) residue
-  in
-  (m, { layer = "maintain"; ok; detail })
+  differential ~ok:(residue = 0) ~layer:"maintain"
+    (Printf.sprintf "%s (%d view rows, %d zero-residue)" (M.strategy_name strategy)
+       (M.view_rows m) residue)
+    [
+      ("maintained", "recompute", Oracle.covariance cov (M.recompute m));
+      ("maintained", "f-ivm", Oracle.covariance cov reference);
+    ]
 
 let check_shard ~shards db ~features batches ~reference =
   let sh = Fivm.Shard.create M.F_ivm db ~features ~shards in
   List.iter (fun b -> Fivm.Shard.apply_batch sh b) batches;
-  let merged = cov_bits (Fivm.Shard.covariance sh) in
-  let recomputed = cov_bits (Fivm.Shard.recompute sh) in
-  let ok = String.equal merged reference && String.equal recomputed reference in
-  let detail =
-    Printf.sprintf "%d shards on %s: merged %s unsharded, recompute %s" shards
-      (Fivm.Shard.plan_attr (Fivm.Shard.plan_of sh))
-      (if String.equal merged reference then "==" else "<>")
-      (if String.equal recomputed reference then "==" else "<>")
-  in
-  { layer = "shard"; ok; detail }
+  differential ~layer:"shard"
+    (Printf.sprintf "%d shards on %s" shards (Fivm.Shard.plan_attr (Fivm.Shard.plan_of sh)))
+    [
+      ("merged", "unsharded", Oracle.covariance (Fivm.Shard.covariance sh) reference);
+      ("recompute", "unsharded", Oracle.covariance (Fivm.Shard.recompute sh) reference);
+    ]
 
 (* Crash mid-stream with the full damage grammar armed — the torn tail
    shears an acknowledged frame, the survivors are reordered and duplicated
@@ -170,16 +137,12 @@ let check_resilience ~seed dir db ~features batches ~reference =
           drive d (Resilience.Driver.seq d)
   in
   let d = drive (Resilience.Driver.create cfg make) 0 in
-  let got = cov_bits (Resilience.Driver.covariance d) in
+  let recovered = Oracle.covariance (Resilience.Driver.covariance d) reference in
   let quarantined = List.length (Resilience.Driver.quarantined d) in
   Resilience.Driver.close d;
-  let ok = String.equal got reference && !restarts >= 1 && quarantined = 0 in
-  let detail =
-    Printf.sprintf "%s: %d restart(s), %d quarantined, recovered %s clean" spec !restarts
-      quarantined
-      (if String.equal got reference then "==" else "<>")
-  in
-  { layer = "resilience"; ok; detail }
+  differential ~ok:(!restarts >= 1 && quarantined = 0) ~layer:"resilience"
+    (Printf.sprintf "%s (%d restart(s), %d quarantined)" spec !restarts quarantined)
+    [ ("recovered", "clean", recovered) ]
 
 (* Serve the covariance batch mid-stream and at the end, each time twice
    (cache miss then refreshed/cached hit), against a fresh engine evaluation
@@ -187,31 +150,25 @@ let check_resilience ~seed dir db ~features batches ~reference =
 let check_serve db ~features batches =
   let srv = Serve.create M.F_ivm db ~features in
   let batch = Aggregates.Batch.covariance_numeric features in
-  let probe () =
-    let miss = keyed_bits (Serve.serve srv batch) in
-    let hit = keyed_bits (Serve.serve srv batch) in
+  let probe stage =
+    let miss = Oracle.canonical (Serve.serve srv batch) in
+    let hit = Oracle.canonical (Serve.serve srv batch) in
     let fresh =
-      keyed_bits
+      Oracle.canonical
         (Lmfao.Engine.eval ~on_cyclic:`Materialize (Serve.snapshot srv) batch)
           .Lmfao.Engine.keyed
     in
-    (String.equal miss fresh, String.equal hit fresh)
+    [
+      (stage ^ " miss", "fresh", Oracle.keyed miss fresh);
+      (stage ^ " hit", "fresh", Oracle.keyed hit fresh);
+    ]
   in
   let n = List.length batches in
   let half = n / 2 in
   List.iteri (fun i b -> if i < half then Serve.apply_deltas srv b) batches;
-  let mid_miss, mid_hit = probe () in
+  let mid = probe "mid-stream" in
   List.iteri (fun i b -> if i >= half then Serve.apply_deltas srv b) batches;
-  let end_miss, end_hit = probe () in
-  let ok = mid_miss && mid_hit && end_miss && end_hit in
-  let detail =
-    Printf.sprintf "mid-stream miss/hit %s/%s, end-of-stream %s/%s"
-      (if mid_miss then "==" else "<>")
-      (if mid_hit then "==" else "<>")
-      (if end_miss then "==" else "<>")
-      (if end_hit then "==" else "<>")
-  in
-  { layer = "serve"; ok; detail }
+  differential ~layer:"serve" batch.Aggregates.Batch.name (mid @ probe "end-of-stream")
 
 (* Register linreg-closed mid-stream, refresh it at the end, and compare the
    served parameters bit-for-bit against a cold retrain from a from-scratch
@@ -234,12 +191,9 @@ let check_model db ~features batches =
          (M.recompute (Serve.maintainer srv))
          ~features ~response)
   in
-  let ok = String.equal (packed_bits served) (packed_bits cold) in
-  let detail =
-    Printf.sprintf "%s@epoch %d: warm-refreshed params %s cold retrain" name epoch
-      (if ok then "==" else "<>")
-  in
-  { layer = "model"; ok; detail }
+  differential ~layer:"model"
+    (Printf.sprintf "%s@epoch %d" name epoch)
+    [ ("warm-refreshed params", "cold retrain", Oracle.packed served cold) ]
 
 (* Spill the post-stream live set to paged column files, reopen it with a
    2-page cache, and run both LMFAO engines over the streamed database: all
@@ -247,10 +201,11 @@ let check_model db ~features batches =
 let check_streamed dir (m : M.t) ~features =
   let snap = M.snapshot m in
   let batch = Aggregates.Batch.covariance_numeric features in
-  let r_mem = keyed_bits (Lmfao.Engine.eval_batch snap batch) in
-  let r_mem_compiled =
-    keyed_bits (Compile.Engine.run (Compile.Engine.compile snap batch) snap)
+  let lmfao db = Oracle.canonical (Lmfao.Engine.eval_batch db batch) in
+  let compiled db =
+    Oracle.canonical (Compile.Engine.run (Compile.Engine.compile db batch) db)
   in
+  let r_mem = lmfao snap and r_mem_compiled = compiled snap in
   let paged =
     List.map
       (fun rel ->
@@ -263,20 +218,14 @@ let check_streamed dir (m : M.t) ~features =
       (Database.name snap ^ "_paged")
       (List.map (fun p -> (Store.Paged.stub p, Some (Store.Paged.stream p))) paged)
   in
-  let r_paged = keyed_bits (Lmfao.Engine.eval_batch sdb batch) in
-  let r_compiled = keyed_bits (Compile.Engine.run (Compile.Engine.compile sdb batch) sdb) in
+  let r_paged = lmfao sdb and r_compiled = compiled sdb in
   List.iter Store.Paged.close paged;
-  let agree a b = String.equal a b in
-  let ok =
-    agree r_mem r_paged && agree r_mem_compiled r_compiled && agree r_mem r_mem_compiled
-  in
-  let detail =
-    Printf.sprintf "lmfao paged %s mem, compiled paged %s mem, engines %s"
-      (if agree r_mem r_paged then "==" else "<>")
-      (if agree r_mem_compiled r_compiled then "==" else "<>")
-      (if agree r_mem r_mem_compiled then "==" else "<>")
-  in
-  { layer = "streamed"; ok; detail }
+  differential ~layer:"streamed" batch.Aggregates.Batch.name
+    [
+      ("lmfao paged", "mem", Oracle.keyed r_paged r_mem);
+      ("compiled paged", "mem", Oracle.keyed r_compiled r_mem_compiled);
+      ("compiled", "lmfao", Oracle.keyed r_mem_compiled r_mem);
+    ]
 
 (* ---- the cell driver ---- *)
 
@@ -304,16 +253,12 @@ let run_cell ?(seed = 42) ?(strategies = [ M.F_ivm; M.Higher_order; M.First_orde
   (* the unsharded F-IVM maintained triple anchors the cross-layer
      differentials; built once, on demand *)
   let ref_m = lazy (maintained M.F_ivm db ~features batches) in
-  let reference = lazy (cov_bits (M.covariance (Lazy.force ref_m))) in
+  let reference = lazy (M.covariance (Lazy.force ref_m)) in
   if want "maintain" then
     List.iter
       (fun strategy ->
-        let m, c = check_maintain strategy db ~features batches in
-        (* every strategy must also land on the SAME triple *)
-        let same = String.equal (cov_bits (M.covariance m)) (Lazy.force reference) in
         record
-          (if same then c
-           else { c with ok = false; detail = c.detail ^ ", diverges from f-ivm" }))
+          (check_maintain strategy db ~features batches ~reference:(Lazy.force reference)))
       strategies;
   if want "shard" then
     List.iter

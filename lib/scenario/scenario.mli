@@ -15,6 +15,13 @@ type check = {
   detail : string;  (** human-readable differential verdict *)
 }
 
+val differential :
+  ?ok:bool -> layer:string -> string -> (string * string * Oracle.verdict) list -> check
+(** [differential ~layer context pairs] is how every layer builds its
+    check: ok when [ok] (default [true]) and every [(lhs, rhs, verdict)]
+    holds. The detail is [context] followed by ["lhs == rhs"] per pair, or
+    ["lhs <> rhs at <diff>"] with {!Oracle}'s located diff. *)
+
 type cell = {
   dataset : string;
   shape : string;  (** {!Datagen.Stream_gen.shape_name} of the stream *)

@@ -23,13 +23,11 @@
    epoch it claims — [Fresh e] must match the reference AT the current
    epoch [e], and [Stale e] must match the reference that was current when
    epoch [e] was live (references are captured while their epoch is still
-   current, so the audit never needs time travel). [Exact] demands bit
-   equality (sound on dyadic-lattice inputs); [Approx eps] allows relative
-   rounding drift for arbitrary floats. *)
+   current, so the audit never needs time travel). The audit demands bit
+   equality through [Oracle] (sound on dyadic-lattice inputs), insensitive
+   to aggregate and row order. *)
 
 module Admission = Serve.Admission
-
-type check = No_check | Exact | Approx of float
 
 type report = {
   offered : int;
@@ -60,30 +58,7 @@ let quantile sorted q =
     let rank = int_of_float (Float.round (q *. float_of_int (n - 1))) in
     sorted.(Stdlib.max 0 (Stdlib.min (n - 1) rank))
 
-let value_eq check a b =
-  match check with
-  | Exact | No_check -> Int64.bits_of_float a = Int64.bits_of_float b
-  | Approx eps ->
-      a = b
-      || Float.abs (a -. b) <= eps *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
-
-(* keyed-result equality, insensitive to aggregate and row order *)
-let results_match check mine theirs =
-  let norm rows = List.sort (fun (k, _) (k', _) -> compare k k') rows in
-  List.length mine = List.length theirs
-  && List.for_all
-       (fun (id, m) ->
-         match List.assoc_opt id theirs with
-         | None -> false
-         | Some t ->
-             let m = norm m and t = norm t in
-             List.length m = List.length t
-             && List.for_all2
-                  (fun (k, v) (k', v') -> k = k' && value_eq check v v')
-                  m t)
-       mine
-
-let run ?lanes ?(flush_interval = 0.05) ?(check = No_check) adm ~catalog
+let run ?lanes ?(flush_interval = 0.05) ?(check = false) adm ~catalog
     ~events =
   if Array.length catalog = 0 then invalid_arg "Driver.run: empty catalog";
   let srv = Admission.server adm in
@@ -110,35 +85,38 @@ let run ?lanes ?(flush_interval = 0.05) ?(check = No_check) adm ~catalog
         if !error_count <= 20 then errors := msg :: !errors)
       fmt
   in
-  (* (epoch, catalog index) -> reference result, captured while the epoch
-     was current; [Stale e] audits read what was stored then *)
-  let refs : (int * int, (string * Aggregates.Spec.result) list) Hashtbl.t =
-    Hashtbl.create 64
-  in
+  (* (epoch, catalog index) -> canonical reference result, captured while
+     the epoch was current; [Stale e] audits read what was stored then *)
+  let refs : (int * int, Oracle.keyed) Hashtbl.t = Hashtbl.create 64 in
   let reference_now idx =
     let key = (Serve.epoch srv, idx) in
     match Hashtbl.find_opt refs key with
     | Some r -> r
     | None ->
         let r =
-          (Lmfao.Engine.eval ~on_cyclic:`Materialize (Serve.snapshot srv)
-             catalog.(idx))
-            .Lmfao.Engine.keyed
+          Oracle.canonical
+            (Lmfao.Engine.eval ~on_cyclic:`Materialize (Serve.snapshot srv)
+               catalog.(idx))
+              .Lmfao.Engine.keyed
         in
         Hashtbl.add refs key r;
         r
   in
+  let matches r reference = Oracle.keyed (Oracle.canonical r) reference in
   let audit idx (o : Admission.outcome) =
-    if check <> No_check then
+    if check then
       match (o.Admission.status, o.Admission.result) with
       | Admission.Fresh e, Some r ->
           incr checked;
           let now_e = Serve.epoch srv in
           if e <> now_e then
             record_error "fresh answer tagged epoch %d at epoch %d" e now_e
-          else if not (results_match check r (reference_now idx)) then
-            record_error "WRONG BIT: fresh answer for %s diverges at epoch %d"
-              catalog.(idx).Aggregates.Batch.name e
+          else (
+            match matches r (reference_now idx) with
+            | Ok () -> ()
+            | Error diff ->
+                record_error "WRONG BIT: fresh answer for %s diverges at epoch %d: %s"
+                  catalog.(idx).Aggregates.Batch.name e diff)
       | Admission.Stale e, Some r -> (
           incr checked;
           if e > Serve.epoch srv then
@@ -149,11 +127,13 @@ let run ?lanes ?(flush_interval = 0.05) ?(check = No_check) adm ~catalog
                 record_error
                   "stale answer for %s references epoch %d never served fresh"
                   catalog.(idx).Aggregates.Batch.name e
-            | Some reference ->
-                if not (results_match check r reference) then
-                  record_error
-                    "WRONG BIT: stale answer for %s is not epoch %d's answer"
-                    catalog.(idx).Aggregates.Batch.name e)
+            | Some reference -> (
+                match matches r reference with
+                | Ok () -> ()
+                | Error diff ->
+                    record_error
+                      "WRONG BIT: stale answer for %s is not epoch %d's answer: %s"
+                      catalog.(idx).Aggregates.Batch.name e diff))
       | Admission.Timeout, None -> ()
       | Admission.Timeout, Some _ ->
           record_error "timeout outcome carries a result"

@@ -61,28 +61,22 @@ let features =
   Feature.make ~response:"m1" ~thresholds_per_feature:3
     ~continuous:[ "m2"; "u" ] ~categorical:[ "x"; "y"; "z" ] ()
 
-(* Bitwise comparison of keyed results: same ids, same assignments in the
-   same order, and every float identical down to the last bit. *)
-let bits_identical a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (id, mine) (id', theirs) ->
-         String.equal id id'
-         && List.length mine = List.length theirs
-         && List.for_all2
-              (fun (k, v) (k', v') ->
-                k = k' && Int64.bits_of_float v = Int64.bits_of_float v')
-              mine theirs)
-       a b
+(* Strict bit equality of keyed results (same ids and rows in the same
+   order), reporting the first differing coordinate under [what]. *)
+let agrees what got reference =
+  match Oracle.keyed got reference with
+  | Ok () -> true
+  | Error diff ->
+      Format.eprintf "%s at %s@." what diff;
+      false
+
+let bit_exact = Alcotest.(result unit string)
 
 let check_compiled_vs_interpreter ~options db batch =
-  let interp = Engine.eval_batch ~options db batch in
-  let compiled = Cengine.eval_batch ~options db batch in
-  let ok = bits_identical interp compiled in
-  if not ok then
-    Format.eprintf "COMPILED MISMATCH on %s (interp %d results, compiled %d)@."
-      batch.Batch.name (List.length interp) (List.length compiled);
-  ok
+  agrees
+    ("COMPILED MISMATCH on " ^ batch.Batch.name)
+    (Cengine.eval_batch ~options db batch)
+    (Engine.eval_batch ~options db batch)
 
 let batch_of name db =
   match name with
@@ -243,8 +237,8 @@ let plan_cache_behaviour () =
       let first = Cengine.eval_batch db batch in
       let plans0 = Obs.counter_value_by_name "lmfao.compile.plans" in
       let again = Cengine.eval_batch db batch in
-      Alcotest.(check bool) "second run bitwise equal" true
-        (bits_identical first again);
+      Alcotest.check bit_exact "second run bitwise equal" (Ok ())
+        (Oracle.keyed again first);
       Alcotest.(check bool) "second run hit the plan cache" true
         (Obs.counter_value_by_name "lmfao.compile.cache_hits" > 0);
       Alcotest.(check int) "second run compiled nothing" plans0
@@ -513,20 +507,17 @@ let passes_preserve_results =
           (fun (plans, ok) (pass_name, pass) ->
             let plans = List.map pass plans in
             let got = run_plans ~options db plans in
-            let ok' = ok && bits_identical reference got in
-            if not ok' && ok then
-              Format.eprintf "PASS %s changed results@." pass_name;
-            (plans, ok'))
+            (plans, ok && agrees ("PASS " ^ pass_name ^ " changed results") got reference))
           (raw, true)
           (Compile.Passes.all ~share:true)
       in
       (* and each pass individually on the raw plan *)
       List.for_all
         (fun (pass_name, pass) ->
-          let got = run_plans ~options db (List.map pass raw) in
-          let ok = bits_identical reference got in
-          if not ok then Format.eprintf "PASS %s (solo) changed results@." pass_name;
-          ok)
+          agrees
+            ("PASS " ^ pass_name ^ " (solo) changed results")
+            (run_plans ~options db (List.map pass raw))
+            reference)
         (Compile.Passes.all ~share:true)
       && ok)
 
@@ -550,8 +541,8 @@ let merge_reduces_slots () =
     true
     (total_slots merged < total_slots raw);
   let reference = run_plans ~options:default db raw in
-  Alcotest.(check bool) "merged still bitwise" true
-    (bits_identical reference (run_plans ~options:default db merged))
+  Alcotest.check bit_exact "merged still bitwise" (Ok ())
+    (Oracle.keyed (run_plans ~options:default db merged) reference)
 
 (* Dead-slot elimination: drop an output and the unreferenced slot chain
    disappears, leaving the remaining output bit-identical. *)
@@ -588,8 +579,8 @@ let dead_slot_elimination () =
         true
         (slots cleaned < slots orphaned);
       let got = run_plans ~options:default db [ cleaned ] in
-      Alcotest.(check bool) "surviving output bitwise" true
-        (bits_identical [ List.hd reference ] got)
+      Alcotest.check bit_exact "surviving output bitwise" (Ok ())
+        (Oracle.keyed got [ List.hd reference ])
   | plans ->
       Alcotest.failf "expected one rooted plan, got %d" (List.length plans)
 

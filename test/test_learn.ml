@@ -80,11 +80,6 @@ let get_of (u, v) name =
   | "v" -> flt v
   | other -> invalid_arg ("unexpected feature " ^ other)
 
-let encode_bytes p =
-  let b = Buffer.create 256 in
-  Ml.Model_intf.encode_packed b p;
-  Buffer.contents b
-
 (* Cold statistics: a from-scratch recompute of the covariance triple over
    the server's current contents, wrapped in the same bundle shape as the
    warm path (identical column layout, so bitwise comparison of the trained
@@ -105,10 +100,11 @@ let audit_model srv what name =
   let cold = Ml.Model_intf.train_packed spec (cold_bundle srv) in
   match Ml.Models.refresh_audit spec with
   | `Bitwise ->
-      if encode_bytes warm <> encode_bytes cold then
-        QCheck2.Test.fail_reportf
-          "%s: warm-refreshed %s is not bit-identical to a cold retrain" what
-          name
+      Result.iter_error
+        (QCheck2.Test.fail_reportf
+           "%s: warm-refreshed %s is not bit-identical to a cold retrain: %s" what
+           name)
+        (Oracle.packed warm cold)
   | `Tolerance tol ->
       List.iter
         (fun probe ->
@@ -278,15 +274,16 @@ let test_codec_roundtrip () =
     (fun spec ->
       let name = Ml.Model_intf.name spec in
       let packed = Ml.Model_intf.train_packed spec bundle in
-      let bytes = encode_bytes packed in
-      let decoded = Ml.Models.decode_packed (Codec.reader bytes) in
+      let b = Buffer.create 256 in
+      Ml.Model_intf.encode_packed b packed;
+      let decoded = Ml.Models.decode_packed (Codec.reader (Buffer.contents b)) in
       Alcotest.(check string)
         (name ^ ": decode preserves the model name")
         (Ml.Model_intf.packed_name packed)
         (Ml.Model_intf.packed_name decoded);
-      Alcotest.(check string)
+      Alcotest.(check (result unit string))
         (name ^ ": decode/encode round-trips bit-exactly")
-        bytes (encode_bytes decoded))
+        (Ok ()) (Oracle.packed decoded packed))
     Ml.Models.all
 
 (* ---------- factorisation machine: moments vs rows ---------- *)

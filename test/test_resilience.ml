@@ -58,22 +58,7 @@ let stream ~seed ~steps =
   let inserted = ref [] in
   List.init steps (fun _ -> random_update rng inserted)
 
-(* Bit-identical covariance comparison: every float equal by BIT PATTERN. *)
-let bits = Int64.bits_of_float
-
-let cov_bit_identical a b =
-  let n = Cov.dim a in
-  Cov.dim b = n
-  && bits a.Cov.c = bits b.Cov.c
-  && (let ok = ref true in
-      for i = 0 to n - 1 do
-        if bits (Util.Vec.get a.Cov.s i) <> bits (Util.Vec.get b.Cov.s i) then ok := false;
-        for j = 0 to n - 1 do
-          if bits (Util.Mat.get a.Cov.q i j) <> bits (Util.Mat.get b.Cov.q i j) then
-            ok := false
-        done
-      done;
-      !ok)
+let bit_exact = Alcotest.(result unit string)
 
 let with_temp_dir f =
   let dir = Filename.temp_dir "resilience" "" in
@@ -127,13 +112,11 @@ let test_codec_roundtrip () =
   let rd = C.reader (Buffer.contents b) in
   Alcotest.(check bool) "null" true (C.read_value rd = Value.Null);
   Alcotest.(check bool) "int" true (C.read_value rd = int 42);
-  (match C.read_value rd with
-  | Value.Float f -> Alcotest.(check bool) "-0.0 bits" true (bits f = bits (-0.0))
-  | _ -> Alcotest.fail "expected float");
+  Alcotest.check bit_exact "-0.0 bits" (Ok ()) (Oracle.value (C.read_value rd) (flt (-0.0)));
   Alcotest.(check bool) "str" true (C.read_value rd = Value.Str "hello");
   (match C.read_tuple rd with
   | [| Value.Int 1; Value.Float f; Value.Str "" |] ->
-      Alcotest.(check bool) "nan bits" true (bits f = bits nan)
+      Alcotest.check bit_exact "nan bits" (Ok ()) (Oracle.value (flt f) (flt nan))
   | _ -> Alcotest.fail "tuple mismatch");
   Alcotest.(check bool) "packed key" true (C.read_key rd = Keypack.P 123456789);
   Alcotest.(check bool) "boxed key" true
@@ -177,7 +160,7 @@ let cov_codec_roundtrip =
       let b = Buffer.create 256 in
       Cov.encode b c;
       let c' = Cov.decode (Codec.reader (Buffer.contents b)) in
-      cov_bit_identical c c')
+      Oracle.covariance c' c = Ok ())
 
 (* ---- WAL ---- *)
 
@@ -225,17 +208,16 @@ let test_checkpoint_roundtrip () =
       | None -> Alcotest.fail "no checkpoint restored"
       | Some r ->
           Alcotest.(check int) "seq" 60 r.Checkpoint.seq;
-          Alcotest.(check bool)
+          Alcotest.check bit_exact
             (M.strategy_name strategy ^ ": state restored bit-identically")
-            true
-            (cov_bit_identical (M.covariance m) (M.covariance r.Checkpoint.maintainer));
+            (Ok ())
+            (Oracle.covariance (M.covariance r.Checkpoint.maintainer) (M.covariance m));
           (* and the restored maintainer keeps maintaining identically *)
           let tail = stream ~seed:6 ~steps:30 in
           List.iter (M.apply m) tail;
           List.iter (M.apply r.Checkpoint.maintainer) tail;
-          Alcotest.(check bool) "continues bit-identically" true
-            (cov_bit_identical (M.covariance m)
-               (M.covariance r.Checkpoint.maintainer)))
+          Alcotest.check bit_exact "continues bit-identically" (Ok ())
+            (Oracle.covariance (M.covariance r.Checkpoint.maintainer) (M.covariance m)))
     [ M.F_ivm; M.Higher_order; M.First_order ]
 
 let test_checkpoint_corruption_falls_back () =
@@ -289,7 +271,7 @@ let crash_recovery_bit_identical strategy =
       let cfg = Driver.config ~checkpoint_every:16 ~faults dir in
       let d = run_resilient ~cfg ~strategy updates in
       Driver.seq d = List.length updates
-      && cov_bit_identical reference (Driver.covariance d))
+      && Oracle.covariance (Driver.covariance d) reference = Ok ())
 
 let test_clean_restart_bit_identical () =
   (* no faults at all: stop half way (close = checkpoint), restart, finish *)
@@ -305,10 +287,10 @@ let test_clean_restart_bit_identical () =
       let d = Driver.create cfg (make strategy) in
       Alcotest.(check int) "resumed at 50" 50 (Driver.seq d);
       List.iteri (fun i u -> if i >= 50 then ignore (Driver.submit d u)) updates;
-      Alcotest.(check bool)
+      Alcotest.check bit_exact
         (M.strategy_name strategy ^ ": restart is bit-identical")
-        true
-        (cov_bit_identical reference (Driver.covariance d)))
+        (Ok ())
+        (Oracle.covariance (Driver.covariance d) reference))
     [ M.F_ivm; M.Higher_order; M.First_order ]
 
 (* ---- counters: recoveries and torn tails are observable ---- *)
@@ -382,8 +364,8 @@ let test_transient_retries () =
   Alcotest.(check int) "all committed" 80 (Driver.seq d);
   Alcotest.(check bool) "retries happened" true
     (Obs.counter_value_by_name "resilience.retries" > 0);
-  Alcotest.(check bool) "result unaffected by retries" true
-    (cov_bit_identical reference (Driver.covariance d));
+  Alcotest.check bit_exact "result unaffected by retries" (Ok ())
+    (Oracle.covariance (Driver.covariance d) reference);
   Obs.reset ()
 
 (* ---- audit + graceful degradation ---- *)

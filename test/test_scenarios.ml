@@ -17,10 +17,7 @@ let datasets =
     ("tpcds", Datagen.Tpcds.generate, Datagen.Tpcds.ivm_features);
   ]
 
-let cov_bits c =
-  let b = Buffer.create 512 in
-  Rings.Covariance.encode b c;
-  Buffer.contents b
+let bit_exact = Alcotest.(result unit string)
 
 (* ------------------------------------------------------- the full matrix *)
 
@@ -71,9 +68,8 @@ let test_full_churn_no_residue () =
   let m = M.create M.F_ivm db ~features:Datagen.Retailer.ivm_features in
   List.iter (M.apply m) stream;
   Alcotest.(check int) "no zero-payload view entries" 0 (zero_residue_rows m);
-  Alcotest.(check string) "maintained == recompute (bits)"
-    (cov_bits (M.recompute m))
-    (cov_bits (M.covariance m))
+  Alcotest.check bit_exact "maintained == recompute (bits)" (Ok ())
+    (Oracle.covariance (M.covariance m) (M.recompute m))
 
 (* Deletion for good: load everything, then delete every fact tuple and
    never re-insert. The cancelled fact groups must VANISH from the view
@@ -95,9 +91,8 @@ let test_net_zero_groups_vanish () =
     (Printf.sprintf "cancelled groups dropped (%d -> %d rows)" loaded_rows (M.view_rows m))
     true
     (M.view_rows m < loaded_rows);
-  Alcotest.(check string) "maintained == recompute (bits)"
-    (cov_bits (M.recompute m))
-    (cov_bits (M.covariance m))
+  Alcotest.check bit_exact "maintained == recompute (bits)" (Ok ())
+    (Oracle.covariance (M.covariance m) (M.recompute m))
 
 (* ------------------------------------ reordered / duplicated WAL replay *)
 
@@ -123,7 +118,7 @@ let test_reorder_dup_recovery strategy () =
   let n = Array.length stream in
   let clean = M.create strategy db ~features in
   Array.iter (M.apply clean) stream;
-  let want = cov_bits (M.covariance clean) in
+  let want = M.covariance clean in
   with_temp_dir @@ fun dir ->
   let faults =
     Resilience.Faults.parse ~seed:9 (Printf.sprintf "crash-after:%d,reorder:6,dup:3" (n / 2))
@@ -143,8 +138,8 @@ let test_reorder_dup_recovery strategy () =
   in
   let d = drive (Resilience.Driver.create cfg make) 0 in
   Alcotest.(check bool) "crashed at least once" true (!restarts >= 1);
-  Alcotest.(check string) "recovered == never-crashed (bits)" want
-    (cov_bits (Resilience.Driver.covariance d));
+  Alcotest.check bit_exact "recovered == never-crashed (bits)" (Ok ())
+    (Oracle.covariance (Resilience.Driver.covariance d) want);
   Resilience.Driver.close d
 
 (* The WAL damage helpers themselves: reorder reverses the tail frames,

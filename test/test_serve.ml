@@ -86,22 +86,8 @@ let all_batches = [ cov_batch; mi_batch; grouped_batch ]
 (* Bit-level equality of keyed results, insensitive to aggregate and row
    order (the engine groups by decomposition root; serve returns batch
    order). *)
-let bits = Int64.bits_of_float
-
-let results_bit_identical a b =
-  let norm rows = List.sort (fun (k, _) (k', _) -> compare k k') rows in
-  List.length a = List.length b
-  && List.for_all
-       (fun (id, mine) ->
-         match List.assoc_opt id b with
-         | None -> false
-         | Some theirs ->
-             let mine = norm mine and theirs = norm theirs in
-             List.length mine = List.length theirs
-             && List.for_all2
-                  (fun (k, v) (k', v') -> k = k' && bits v = bits v')
-                  mine theirs)
-       a
+let same a b = Oracle.(keyed (canonical a) (canonical b))
+let bit_exact = Alcotest.(result unit string)
 
 let fresh_eval srv batch =
   (Lmfao.Engine.eval ~on_cyclic:`Materialize (Serve.snapshot srv) batch)
@@ -109,9 +95,10 @@ let fresh_eval srv batch =
 
 let check_batch srv what batch =
   let served = Serve.serve srv batch in
-  if not (results_bit_identical served (fresh_eval srv batch)) then
-    QCheck2.Test.fail_reportf "%s: served %s diverges from fresh recompute"
-      what batch.Batch.name
+  Result.iter_error
+    (QCheck2.Test.fail_reportf "%s: served %s diverges from fresh recompute at %s"
+       what batch.Batch.name)
+    (same served (fresh_eval srv batch))
 
 (* The differential: random lattice stream applied in rounds; after every
    round every batch must serve bit-identically to recompute, twice (the
@@ -192,8 +179,8 @@ let test_permuted_ids () =
   Alcotest.(check bool) "SUM(m) <> SUM(u) on this data" true (sum "a" <> sum "b");
   List.iter
     (fun (a, b) ->
-      Alcotest.(check bool) (Printf.sprintf "served [%s; %s] bitwise" a b) true
-        (results_bit_identical (Serve.serve srv (batch a b)) (fresh_eval srv (batch a b))))
+      Alcotest.check bit_exact (Printf.sprintf "served [%s; %s] bitwise" a b) (Ok ())
+        (same (Serve.serve srv (batch a b)) (fresh_eval srv (batch a b))))
     [ ("a", "b"); ("b", "a"); ("a", "b") ]
 
 (* Two batches with different aggregates but the same CRC-32 fingerprint,
@@ -224,8 +211,8 @@ let test_fingerprint_collision () =
   Serve.apply_deltas srv (lattice_stream ~seed:5 ~steps:40);
   List.iter
     (fun b ->
-      Alcotest.(check bool) ("served " ^ b.Batch.name ^ " bitwise") true
-        (results_bit_identical (Serve.serve srv b) (fresh_eval srv b)))
+      Alcotest.check bit_exact ("served " ^ b.Batch.name ^ " bitwise") (Ok ())
+        (same (Serve.serve srv b) (fresh_eval srv b)))
     [ first; second; first; second ]
 
 (* Concurrent clients: K pool tasks serving the same mix must each get the
@@ -245,10 +232,10 @@ let test_concurrent_clients () =
   let got = Serve.serve_many ~clients:4 srv burst in
   List.iteri
     (fun i r ->
-      Alcotest.(check bool)
+      Alcotest.check bit_exact
         (Printf.sprintf "client result %d bit-identical" i)
-        true
-        (results_bit_identical r (List.nth expected (i mod 3))))
+        (Ok ())
+        (same r (List.nth expected (i mod 3))))
     got
 
 (* The single-writer contract must be ENFORCED, not just documented. A model

@@ -79,21 +79,7 @@ let lattice_stream ~seed ~steps =
 let float_stream ~seed ~steps =
   stream_with ~value:(fun rng -> Util.Prng.float rng 5.0) ~seed ~steps
 
-let bits = Int64.bits_of_float
-
-let cov_bit_identical a b =
-  let n = Cov.dim a in
-  Cov.dim b = n
-  && bits a.Cov.c = bits b.Cov.c
-  && (let ok = ref true in
-      for i = 0 to n - 1 do
-        if bits (Util.Vec.get a.Cov.s i) <> bits (Util.Vec.get b.Cov.s i) then ok := false;
-        for j = 0 to n - 1 do
-          if bits (Util.Mat.get a.Cov.q i j) <> bits (Util.Mat.get b.Cov.q i j) then
-            ok := false
-        done
-      done;
-      !ok)
+let bit_exact = Alcotest.(result unit string)
 
 (* Shard directories nest (dir/shard-k/...): recursive removal. *)
 let with_temp_dir f =
@@ -130,8 +116,8 @@ let sharded_bit_identical strategy =
         (fun shards ->
           let sh = Shard.create strategy (empty_db ()) ~features ~shards in
           Shard.apply_batch sh updates;
-          cov_bit_identical reference (Shard.covariance sh)
-          && cov_bit_identical reference (Shard.recompute sh))
+          Oracle.covariance (Shard.covariance sh) reference = Ok ()
+          && Oracle.covariance (Shard.recompute sh) reference = Ok ())
         shard_counts)
 
 (* Single-update routing path (Shard.apply) agrees with the batch path. *)
@@ -143,10 +129,10 @@ let test_apply_matches_apply_batch () =
       List.iter (Shard.apply one) updates;
       let batch = Shard.create strategy (empty_db ()) ~features ~shards:3 in
       Shard.apply_batch batch updates;
-      Alcotest.(check bool)
+      Alcotest.check bit_exact
         (M.strategy_name strategy ^ ": apply = apply_batch")
-        true
-        (cov_bit_identical (Shard.covariance one) (Shard.covariance batch)))
+        (Ok ())
+        (Oracle.covariance (Shard.covariance one) (Shard.covariance batch)))
     strategies
 
 (* The result may not depend on how many domains applied the shards. *)
@@ -161,10 +147,10 @@ let test_domain_count_invariance () =
     (fun domains ->
       let sh = Shard.create M.F_ivm (empty_db ()) ~features ~shards:4 in
       Shard.apply_batch ~domains sh updates;
-      Alcotest.(check bool)
+      Alcotest.check bit_exact
         (Printf.sprintf "domains=%d bit-identical to domains=1" domains)
-        true
-        (cov_bit_identical reference (Shard.covariance sh)))
+        (Ok ())
+        (Oracle.covariance (Shard.covariance sh) reference))
     [ 2; 4; 8 ]
 
 (* ---- fault injection: per-shard crash recovery stays invariant ---- *)
@@ -199,7 +185,7 @@ let sharded_crash_recovery strategy =
           in
           Sharded.crashes sh = expected_crashes
           && Sharded.seqs sh = expected
-          && cov_bit_identical reference (Sharded.covariance sh))
+          && Oracle.covariance (Sharded.covariance sh) reference = Ok ())
         shard_counts)
 
 (* Clean stop/restart: per-shard recovery reads only that shard's state. *)
@@ -226,8 +212,8 @@ let test_sharded_restart () =
   in
   Alcotest.(check int) "all committed (with broadcast replication)" expected
     (Array.fold_left ( + ) 0 (Sharded.seqs sh));
-  Alcotest.(check bool) "restarted sharded run is bit-identical" true
-    (cov_bit_identical reference (Sharded.covariance sh))
+  Alcotest.check bit_exact "restarted sharded run is bit-identical" (Ok ())
+    (Oracle.covariance (Sharded.covariance sh) reference)
 
 (* ---- routing ---- *)
 
@@ -286,8 +272,8 @@ let test_arbitrary_floats_deterministic () =
     Shard.covariance sh
   in
   let a = run () and b = run () in
-  Alcotest.(check bool) "two identical runs agree bit-for-bit" true
-    (cov_bit_identical a b);
+  Alcotest.check bit_exact "two identical runs agree bit-for-bit" (Ok ())
+    (Oracle.covariance a b);
   let reference = clean_covariance M.F_ivm updates in
   Alcotest.(check bool) "agrees with unsharded up to summation order" true
     (Cov.equal_rel ~eps:1e-9 reference a)

@@ -18,11 +18,9 @@ module Loader = Store.Loader
 module M = Fivm.Maintainer
 module Delta = Fivm.Delta
 module Shard = Fivm.Shard
-module Cov = Rings.Covariance
 
 let int n = Value.Int n
 let flt x = Value.Float x
-let bits = Int64.bits_of_float
 let qcheck = QCheck_alcotest.to_alcotest
 
 (* Sharded imports nest nothing (flat <name>.shard<k>.pages files), but be
@@ -50,53 +48,7 @@ let with_worker_budget b f =
 
 let budgets = [ 0; 3 ]
 
-(* ---- bitwise comparison helpers ---- *)
-
-let value_bits_equal a b =
-  match (a, b) with
-  | Value.Float x, Value.Float y -> bits x = bits y
-  | _ -> Value.equal a b
-
-let rel_bit_identical a b =
-  Relation.cardinality a = Relation.cardinality b
-  && Schema.names (Relation.schema a) = Schema.names (Relation.schema b)
-  && (let ok = ref true in
-      for i = 0 to Relation.cardinality a - 1 do
-        let ta = Relation.get a i and tb = Relation.get b i in
-        if Array.length ta <> Array.length tb then ok := false
-        else
-          Array.iteri
-            (fun j v -> if not (value_bits_equal v tb.(j)) then ok := false)
-            ta
-      done;
-      !ok)
-
-let results_bit_equal (a : (string * Aggregates.Spec.result) list)
-    (b : (string * Aggregates.Spec.result) list) =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (ida, ra) (idb, rb) ->
-         ida = idb
-         && List.length ra = List.length rb
-         && List.for_all2
-              (fun (ka, va) (kb, vb) -> ka = kb && bits va = bits vb)
-              ra rb)
-       a b
-
-let cov_bit_identical a b =
-  let n = Cov.dim a in
-  Cov.dim b = n
-  && bits a.Cov.c = bits b.Cov.c
-  && (let ok = ref true in
-      for i = 0 to n - 1 do
-        if bits (Util.Vec.get a.Cov.s i) <> bits (Util.Vec.get b.Cov.s i) then
-          ok := false;
-        for j = 0 to n - 1 do
-          if bits (Util.Mat.get a.Cov.q i j) <> bits (Util.Mat.get b.Cov.q i j)
-          then ok := false
-        done
-      done;
-      !ok)
+let bit_exact = Alcotest.(result unit string)
 
 (* ---- generators ---- *)
 
@@ -155,7 +107,7 @@ let page_roundtrip =
       let enc = Page.encode ~index:3 rel ~lo:0 ~rows in
       let p = Page.decode enc in
       let back = Page.to_relation "T" (Relation.schema rel) p in
-      p.Page.index = 3 && p.Page.rows = rows && rel_bit_identical rel back)
+      p.Page.index = 3 && p.Page.rows = rows && Oracle.relation back rel = Ok ())
 
 let page_slice_roundtrip =
   QCheck2.Test.make ~count:80 ~name:"page slices round-trip from any offset"
@@ -168,14 +120,9 @@ let page_slice_roundtrip =
       let p = Page.decode (Page.encode ~index:0 rel ~lo ~rows:n) in
       let back = Page.to_relation "T" (Relation.schema rel) p in
       p.Page.rows = n
-      && (let ok = ref true in
-          for i = 0 to n - 1 do
-            let ta = Relation.get rel (lo + i) and tb = Relation.get back i in
-            Array.iteri
-              (fun j v -> if not (value_bits_equal v tb.(j)) then ok := false)
-              ta
-          done;
-          !ok))
+      && List.for_all
+           (fun i -> Oracle.tuple (Relation.get back i) (Relation.get rel (lo + i)) = Ok ())
+           (List.init n Fun.id))
 
 (* Every single-byte corruption of a page — torn tail, flipped magic,
    flipped length, flipped CRC, flipped payload — must be rejected with a
@@ -235,19 +182,14 @@ let test_paged_boundary_sizes () =
       let vpages, vrows = Paged.verify p in
       Alcotest.(check int) "verify pages" (Paged.pages p) vpages;
       Alcotest.(check int) "verify rows" rows vrows;
-      Alcotest.(check bool) "bit-identical" true
-        (rel_bit_identical rel (Paged.to_relation p));
+      Alcotest.check bit_exact "bit-identical" (Ok ())
+        (Oracle.relation (Paged.to_relation p) rel);
       (* the sequential scan re-assembles the same rows in global order *)
       let seen = ref 0 in
       Paged.iter_chunks p (fun chunk ->
           for i = 0 to Relation.cardinality chunk - 1 do
-            let ok = ref true in
-            Array.iteri
-              (fun j v ->
-                if not (value_bits_equal v (Relation.get chunk i).(j)) then
-                  ok := false)
-              (Relation.get rel (!seen + i));
-            Alcotest.(check bool) "chunk row" true !ok
+            Alcotest.check bit_exact "chunk row" (Ok ())
+              (Oracle.tuple (Relation.get chunk i) (Relation.get rel (!seen + i)))
           done;
           seen := !seen + Relation.cardinality chunk);
       Alcotest.(check int) "scanned rows" rows !seen;
@@ -266,7 +208,7 @@ let paged_roundtrip_any_budget =
           let rel = mk_rel_of rows (Util.Prng.create seed) in
           ignore (Loader.import_relation ~dir ~page_rows:16 rel);
           let p = Paged.openr ~cache_pages:2 ~dir "T" in
-          let ok = rel_bit_identical rel (Paged.to_relation p) in
+          let ok = Oracle.relation (Paged.to_relation p) rel = Ok () in
           Paged.close p;
           ok)
         budgets)
@@ -349,12 +291,12 @@ let test_engine_differential () =
   let r_paged = Lmfao.Engine.eval_batch sdb batch in
   let plan = Compile.Engine.compile sdb batch in
   let r_compiled = Compile.Engine.run plan sdb in
-  Alcotest.(check bool) "lmfao paged == in-memory" true
-    (results_bit_equal r_mem r_paged);
-  Alcotest.(check bool) "compiled paged == in-memory" true
-    (results_bit_equal r_mem_compiled r_compiled);
-  Alcotest.(check bool) "compiled == interpreted" true
-    (results_bit_equal r_mem r_mem_compiled);
+  Alcotest.check bit_exact "lmfao paged == in-memory" (Ok ())
+    (Oracle.keyed r_paged r_mem);
+  Alcotest.check bit_exact "compiled paged == in-memory" (Ok ())
+    (Oracle.keyed r_compiled r_mem_compiled);
+  Alcotest.check bit_exact "compiled == interpreted" (Ok ())
+    (Oracle.keyed r_mem_compiled r_mem);
   Alcotest.(check bool) "pages were read" true
     (Obs.counter_value_by_name "store.page_reads" > 0);
   Alcotest.(check bool) "the 2-page cache thrashed" true
@@ -463,7 +405,7 @@ let fivm_load_base_bit_identical strategy =
           Paged.stream (keep (Paged.openr ~cache_pages:2 ~dir "D2")) emit);
       let loaded = Shard.covariance sh in
       List.iter Paged.close !opened;
-      cov_bit_identical direct loaded)
+      Oracle.covariance loaded direct = Ok ())
 
 (* ---------------------------------------------------- spill-op properties *)
 
@@ -515,7 +457,7 @@ let spill_group_by_invariant =
           budgets
       in
       let first = List.hd results in
-      List.for_all (rel_bit_identical first) results
+      List.for_all (fun r -> Oracle.relation r first = Ok ()) results
       (* and the contents agree with the unbounded group_by (whose emission
          order is hash order, so compare as sorted multisets) *)
       && sorted_tuples first
@@ -547,8 +489,8 @@ let spill_join_invariant =
           with_worker_budget budget @@ fun () ->
           List.for_all
             (fun spill_above ->
-              rel_bit_identical reference
-                (Ops.natural_join_spill a b ~spill_above))
+              Oracle.relation (Ops.natural_join_spill a b ~spill_above) reference
+              = Ok ())
             [ 0; 8; max_int ])
         budgets)
 
