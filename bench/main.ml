@@ -980,56 +980,18 @@ let learn_bench () =
 let traffic_bench () =
   header "Traffic: tail latency vs offered load under admission control"
     "overload degrades to explicit staleness; tails stay bounded";
-  let open Relational in
-  let star_db () =
-    Database.create "lattice"
-      [
-        Relation.create "F"
-          (Schema.make
-             [ ("a", Value.TInt); ("b", Value.TInt); ("m", Value.TFloat) ]);
-        Relation.create "D1"
-          (Schema.make [ ("a", Value.TInt); ("u", Value.TFloat) ]);
-        Relation.create "D2"
-          (Schema.make [ ("b", Value.TInt); ("v", Value.TFloat) ]);
-      ]
-  in
+  let module Star = Datagen.Star in
   let lattice_updates rng n =
-    let value rng = float_of_int (1 + Util.Prng.int rng 64) /. 16.0 in
-    let iv n = Value.Int n and fv x = Value.Float x in
-    List.init n (fun _ ->
-        let rel = [| "F"; "D1"; "D2" |].(Util.Prng.int rng 3) in
-        let tuple =
-          match rel with
-          | "F" ->
-              [| iv (Util.Prng.int rng 4); iv (Util.Prng.int rng 4);
-                 fv (value rng) |]
-          | _ -> [| iv (Util.Prng.int rng 4); fv (value rng) |]
-        in
-        Fivm.Delta.insert rel tuple)
+    List.init n (fun _ -> Star.insert ~value:Star.lattice rng)
   in
-  let features = [ "m"; "u"; "v" ] in
-  let catalog =
-    [|
-      Aggregates.Batch.covariance_numeric features;
-      Aggregates.Batch.mutual_information [ "a"; "b" ];
-      {
-        Aggregates.Batch.name = "grouped";
-        aggregates =
-          [
-            Aggregates.Spec.make ~id:"sum_m_by_a" ~terms:[ ("m", 1) ]
-              ~group_by:[ "a" ] ();
-            Aggregates.Spec.count ~id:"n";
-          ];
-      };
-    |]
-  in
+  let catalog = Array.of_list Star.batches in
   (* per-request hit and miss costs on this machine, probed once on a warmed
      server: the offered rate scales with the hit cost (the capacity the
      cache is supposed to deliver), but the gate and deadline must absorb
      the occasional post-delta cold recompute, which is orders of magnitude
      dearer *)
   let t_hit, t_miss =
-    let srv = Serve.create Fivm.Maintainer.F_ivm (star_db ()) ~features in
+    let srv = Serve.create Fivm.Maintainer.F_ivm (Star.db ()) ~features:Star.features in
     Serve.apply_deltas srv
       (lattice_updates (Util.Prng.create seed) 300);
     let t_miss =
@@ -1071,7 +1033,7 @@ let traffic_bench () =
       List.iter
         (fun mult ->
           let srv =
-            Serve.create Fivm.Maintainer.F_ivm (star_db ()) ~features
+            Serve.create Fivm.Maintainer.F_ivm (Star.db ()) ~features:Star.features
           in
           Serve.apply_deltas srv
             (lattice_updates (Util.Prng.create seed) 300);

@@ -11,6 +11,7 @@
 
 open Cmdliner
 open Relational
+module Star = Datagen.Star
 
 type dataset_spec = {
   generate : ?scale:float -> seed:int -> unit -> Database.t;
@@ -253,8 +254,10 @@ let maintain_cmd =
   let dir_arg =
     Arg.(value & opt (some string) None
          & info [ "checkpoint-dir" ] ~docv:"DIR"
-             ~doc:"WAL and checkpoint directory (kept across restarts). Defaults to a \
-                   fresh temporary directory, removed on exit.")
+             ~doc:"WAL and checkpoint directory, one $(b,shard-k) subdirectory per \
+                   shard. A kept directory resumes: rerunning the same stream skips \
+                   the updates already committed there. Defaults to a fresh \
+                   temporary directory, removed on exit.")
   in
   let every_arg =
     Arg.(value & opt int 256
@@ -288,21 +291,24 @@ let maintain_cmd =
   let verify_arg =
     Arg.(value & flag
          & info [ "verify" ]
-             ~doc:"After the stream, replay it through a bare maintainer and fail unless \
-                   the recovered covariance is bit-identical.")
+             ~doc:"After the stream, replay it through a clean in-memory pipeline with \
+                   the same shard count and fail unless the recovered covariance is \
+                   bit-identical.")
   in
   let shards_arg =
-    let default =
-      match Sys.getenv_opt "BORG_SHARDS" with
-      | Some s -> ( try Stdlib.max 1 (int_of_string s) with _ -> 1)
-      | None -> 1
+    let positive =
+      let parse s =
+        match int_of_string_opt s with
+        | Some n when n >= 1 -> Ok n
+        | _ -> Error (`Msg (Printf.sprintf "shard count must be an integer >= 1, got %S" s))
+      in
+      Arg.conv (parse, Format.pp_print_int)
     in
-    Arg.(value & opt int default
+    Arg.(value & opt positive 1
          & info [ "shards" ] ~docv:"N"
              ~doc:"Hash-partition the stream into N shards maintained in parallel, \
                    each with its own WAL and checkpoints under \
-                   $(b,checkpoint-dir)/shard-k. Defaults to $(b,BORG_SHARDS) \
-                   or 1 (the single-shard driver).")
+                   $(b,checkpoint-dir)/shard-k (shard-0 alone when N is 1).")
   in
   let digest_out_arg =
     Arg.(value & opt (some string) None
@@ -335,86 +341,32 @@ let maintain_cmd =
     Fun.protect ~finally:cleanup @@ fun () ->
     let make () = Fivm.Maintainer.create strategy db ~features:spec.ivm_features in
     let t0 = Unix.gettimeofday () in
-    (* Single shard: the bare driver with an in-process restart loop.
-       Sharded: per-shard drivers with in-task recovery (Resilience.Sharded). *)
-    let cov, committed, crashes, quarantined, reference =
-      if shards <= 1 then begin
-        let faults =
-          match faults_spec with
-          | Some s -> Resilience.Faults.parse ~seed s
-          | None -> Resilience.Faults.none ()
-        in
-        let cfg =
-          Resilience.Driver.config ~checkpoint_every:every ~audit_every:audit ~faults dir
-        in
-        let crashes = ref 0 in
-        let rec go d =
-          let from = Resilience.Driver.seq d in
-          match
-            for i = from to Array.length stream - 1 do
-              ignore (Resilience.Driver.submit d stream.(i))
-            done
-          with
-          | () -> d
-          | exception Resilience.Faults.Crash msg ->
-              incr crashes;
-              Printf.printf "crash %d: %s\n%!" !crashes msg;
-              if !crashes > restarts then begin
-                Printf.eprintf "borg maintain: restart budget (%d) exhausted\n" restarts;
-                exit 1
-              end;
-              let d' = Resilience.Driver.create cfg make in
-              Printf.printf "recovered to seq %d, resuming\n%!" (Resilience.Driver.seq d');
-              go d'
-        in
-        let d = go (Resilience.Driver.create cfg make) in
-        let cov = Resilience.Driver.covariance d in
-        let committed = Resilience.Driver.seq d in
-        let quarantined = List.length (Resilience.Driver.quarantined d) in
-        Resilience.Driver.close d;
-        let reference () =
-          let m = make () in
-          Array.iter (Fivm.Maintainer.apply m) stream;
-          Fivm.Maintainer.covariance m
-        in
-        (cov, committed, !crashes, quarantined, reference)
-      end
-      else begin
-        let plan = Fivm.Shard.plan ~shards db in
-        let faults k =
-          match faults_spec with
-          | Some s -> Resilience.Faults.parse ~seed:(seed + k) s
-          | None -> Resilience.Faults.none ()
-        in
-        let sh =
-          Resilience.Sharded.create ~checkpoint_every:every ~audit_every:audit
-            ~max_restarts:restarts ~faults ~dir ~plan make
-        in
-        (match Resilience.Sharded.submit_batch sh (Array.to_list stream) with
-        | () -> ()
-        | exception Failure msg ->
-            Printf.eprintf "borg maintain: %s\n" msg;
-            exit 1);
-        let cov = Resilience.Sharded.covariance sh in
-        let committed = Resilience.Sharded.seq sh in
-        let crashes = Resilience.Sharded.crashes sh in
-        let quarantined = List.length (Resilience.Sharded.quarantined sh) in
-        Resilience.Sharded.close sh;
-        let reference () =
-          let clean =
-            Fivm.Shard.create strategy db ~features:spec.ivm_features ~shards
-          in
-          Array.iter (Fivm.Shard.apply clean) stream;
-          Fivm.Shard.covariance clean
-        in
-        Printf.printf "sharded over %d shards on %s (per-shard commits:%s)\n" shards
-          (Fivm.Shard.plan_attr plan)
-          (String.concat ""
-             (Array.to_list
-                (Array.map (Printf.sprintf " %d") (Resilience.Sharded.seqs sh))));
-        (cov, committed, crashes, quarantined, reference)
-      end
+    let plan = Fivm.Shard.plan ~shards db in
+    let faults k =
+      match faults_spec with
+      | Some s -> Resilience.Faults.parse ~seed:(seed + k) s
+      | None -> Resilience.Faults.none ()
     in
+    let sh =
+      Resilience.Sharded.create ~checkpoint_every:every ~audit_every:audit
+        ~max_restarts:restarts ~faults ~dir ~plan make
+    in
+    (* a kept directory resumes: each shard skips what it already committed *)
+    (match Resilience.Sharded.resume sh (Array.to_list stream) with
+    | () -> ()
+    | exception Failure msg ->
+        Printf.eprintf "borg maintain: %s\n" msg;
+        exit 1);
+    let cov = Resilience.Sharded.covariance sh in
+    let committed = Resilience.Sharded.seq sh in
+    let crashes = Resilience.Sharded.crashes sh in
+    let quarantined = List.length (Resilience.Sharded.quarantined sh) in
+    Resilience.Sharded.close sh;
+    Printf.printf "sharded over %d shards on %s (per-shard commits:%s)\n" shards
+      (Fivm.Shard.plan_attr plan)
+      (String.concat ""
+         (Array.to_list
+            (Array.map (Printf.sprintf " %d") (Resilience.Sharded.seqs sh))));
     let seconds = Unix.gettimeofday () -. t0 in
     let n = Array.length stream in
     Printf.printf
@@ -435,14 +387,17 @@ let maintain_cmd =
         close_out oc;
         Printf.printf "digest: %s" digest)
       digest_out;
-    if verify then
-      match Oracle.covariance cov (reference ()) with
+    if verify then begin
+      let clean = Fivm.Shard.create strategy db ~features:spec.ivm_features ~shards in
+      Array.iter (Fivm.Shard.apply clean) stream;
+      match Oracle.covariance cov (Fivm.Shard.covariance clean) with
       | Ok () ->
           Printf.printf "verify: recovered covariance is bit-identical to the clean run\n"
       | Error diff ->
           Printf.eprintf
             "borg maintain: recovered covariance DIVERGES from the clean run at %s\n" diff;
           exit 1
+    end
   in
   Cmd.v
     (Cmd.info "maintain"
@@ -574,45 +529,6 @@ let agg_cmd =
     Term.(const run $ dataset_arg $ scale_arg $ seed_arg $ engine_arg $ batch_arg
           $ check_arg $ trace_arg $ metrics_out_arg)
 
-(* ---- the lattice workload (shared by serve and learn) ----
-
-   A small star schema whose feature values are strictly positive multiples
-   of 1/16. On the lattice every covariance sum is exactly representable in
-   a float, so --check can demand BIT identity between maintained
-   (cached/refreshed/warm-trained) state and a fresh recompute. *)
-
-let star_db () =
-  Database.create "lattice"
-    [
-      Relation.create "F"
-        (Schema.make [ ("a", Value.TInt); ("b", Value.TInt); ("m", Value.TFloat) ]);
-      Relation.create "D1" (Schema.make [ ("a", Value.TInt); ("u", Value.TFloat) ]);
-      Relation.create "D2" (Schema.make [ ("b", Value.TInt); ("v", Value.TFloat) ]);
-    ]
-
-let lattice_stream ~seed ~steps =
-  let rng = Util.Prng.create seed in
-  let inserted = ref [] in
-  let value rng = float_of_int (1 + Util.Prng.int rng 64) /. 16.0 in
-  let iv n = Value.Int n and fv x = Value.Float x in
-  List.init steps (fun _ ->
-      if !inserted <> [] && Util.Prng.int rng 4 = 0 then begin
-        let u = Util.Prng.choice rng (Array.of_list !inserted) in
-        inserted := List.filter (fun x -> x != u) !inserted;
-        Fivm.Delta.delete u.Fivm.Delta.relation u.Fivm.Delta.tuple
-      end
-      else begin
-        let rel = [| "F"; "D1"; "D2" |].(Util.Prng.int rng 3) in
-        let tuple =
-          match rel with
-          | "F" -> [| iv (Util.Prng.int rng 4); iv (Util.Prng.int rng 4); fv (value rng) |]
-          | _ -> [| iv (Util.Prng.int rng 4); fv (value rng) |]
-        in
-        let u = Fivm.Delta.insert rel tuple in
-        inserted := u :: !inserted;
-        u
-      end)
-
 (* ---- serve: epoch-cached aggregate serving over a delta stream ---- *)
 
 let serve_cmd =
@@ -681,8 +597,8 @@ let serve_cmd =
     let name, schema_db, features, mi, stream =
       match target with
       | `Lattice ->
-          ("lattice", star_db (), [ "m"; "u"; "v" ], [ "a"; "b" ],
-           lattice_stream ~seed ~steps:limit)
+          ("lattice", Star.db (), Star.features, [ "a"; "b" ],
+           Star.stream ~value:Star.lattice ~seed ~steps:limit)
       | `Gen (n, spec) ->
           let db = spec.generate ~scale ~seed () in
           ( n, db, spec.ivm_features, spec.mi_attrs,
@@ -824,7 +740,7 @@ let learn_cmd =
               exit 1)
         models
     in
-    let features = [ "m"; "u"; "v" ] and response = "m" in
+    let features = Star.features and response = "m" in
     (* probe points for served predictions (lattice-range attribute values) *)
     let probes =
       List.concat_map
@@ -845,9 +761,10 @@ let learn_cmd =
     in
     List.iter
       (fun strategy ->
-        let srv = Serve.create strategy (star_db ()) ~features in
+        let srv = Serve.create strategy (Star.db ()) ~features in
         let stream =
-          Array.of_list (lattice_stream ~seed ~steps:(initial + (rounds * batch)))
+          Array.of_list
+            (Star.stream ~value:Star.lattice ~seed ~steps:(initial + (rounds * batch)))
         in
         let seg lo len = Array.to_list (Array.sub stream lo len) in
         Serve.apply_deltas srv (seg 0 initial);
@@ -1011,25 +928,10 @@ let traffic_cmd =
   in
   let run requests overload tenants strategy faults check seed trace metrics_out =
     with_obs trace metrics_out @@ fun () ->
-    let features = [ "m"; "u"; "v" ] in
     (* core batches (the served mix: refreshable covariance + invalidating
        categorical/grouped shapes) and cold batches reads never warm — the
        starved-tenant phase requests them to force Timeouts *)
-    let core =
-      [|
-        Aggregates.Batch.covariance_numeric features;
-        Aggregates.Batch.mutual_information [ "a"; "b" ];
-        {
-          Aggregates.Batch.name = "grouped";
-          aggregates =
-            [
-              Aggregates.Spec.make ~id:"sum_m_by_a" ~terms:[ ("m", 1) ]
-                ~group_by:[ "a" ] ();
-              Aggregates.Spec.count ~id:"n";
-            ];
-        };
-      |]
-    in
+    let core = Array.of_list Star.batches in
     let cold =
       [|
         {
@@ -1060,8 +962,8 @@ let traffic_cmd =
     in
     let catalog = Array.append core cold in
     let lanes = Util.Pool.num_domains () in
-    let srv = Serve.create strategy (star_db ()) ~features in
-    Serve.apply_deltas srv (lattice_stream ~seed ~steps:300);
+    let srv = Serve.create strategy (Star.db ()) ~features:Star.features in
+    Serve.apply_deltas srv (Star.stream ~value:Star.lattice ~seed ~steps:300);
     (* ---- capacity probe: a miss and a hit on this machine ---- *)
     let time f =
       let t0 = Unix.gettimeofday () in
@@ -1102,34 +1004,14 @@ let traffic_cmd =
     in
     (* lattice updates with persistent insert/delete state; every batch
        carries one duplicated insert so coalescing provably merges *)
-    let inserted = ref [] in
+    let live = Star.live () in
     let make_updates rng n =
-      let value rng = float_of_int (1 + Util.Prng.int rng 64) /. 16.0 in
-      let iv n = Value.Int n and fv x = Value.Float x in
-      let one () =
-        if !inserted <> [] && Util.Prng.int rng 4 = 0 then begin
-          let u = Util.Prng.choice rng (Array.of_list !inserted) in
-          inserted := List.filter (fun x -> x != u) !inserted;
-          Fivm.Delta.delete u.Fivm.Delta.relation u.Fivm.Delta.tuple
-        end
-        else begin
-          let rel = [| "F"; "D1"; "D2" |].(Util.Prng.int rng 3) in
-          let tuple =
-            match rel with
-            | "F" ->
-                [| iv (Util.Prng.int rng 4); iv (Util.Prng.int rng 4);
-                   fv (value rng) |]
-            | _ -> [| iv (Util.Prng.int rng 4); fv (value rng) |]
-          in
-          let u = Fivm.Delta.insert rel tuple in
-          inserted := u :: !inserted;
-          u
-        end
-      in
       let fresh =
-        Fivm.Delta.insert "D1" [| iv (Util.Prng.int rng 4); fv (value rng) |]
+        Fivm.Delta.insert "D1"
+          [| Value.Int (Util.Prng.int rng 4); Value.Float (Star.lattice rng) |]
       in
-      fresh :: fresh :: List.init (max 0 (n - 2)) (fun _ -> one ())
+      fresh :: fresh
+      :: List.init (max 0 (n - 2)) (fun _ -> Star.update ~value:Star.lattice live rng)
     in
     let overload_events =
       Traffic.Workload.generate spec ~catalog:(Array.length core) ~make_updates

@@ -286,6 +286,31 @@ let submit_batch t us =
   Obs.with_span "resilience.batch" @@ fun () ->
   List.iter (fun u -> ignore (submit t u)) us
 
+(* The one crash-restart loop. Every crash re-creates the driver from disk
+   and hands it to [on_crash] before the budget is checked, so a caller
+   holding the driver never keeps the crashed one. Resuming at
+   [seq - start] is exact as long as the crash window holds no quarantined
+   updates, which do not advance [seq]. *)
+let submit_all ~max_restarts ~on_crash t updates =
+  let start = t.seq in
+  let rec go t restarts =
+    match
+      for i = t.seq - start to Array.length updates - 1 do
+        ignore (submit t updates.(i))
+      done
+    with
+    | () -> (t, restarts)
+    | exception Faults.Crash _ ->
+        let t = create t.cfg t.make in
+        on_crash t;
+        if restarts >= max_restarts then
+          failwith
+            (Printf.sprintf "resilience: restart budget (%d) exhausted in %s"
+               max_restarts t.cfg.dir);
+        go t (restarts + 1)
+  in
+  go t 0
+
 let covariance t = M.covariance t.m
 let maintainer t = t.m
 let seq t = t.seq

@@ -48,6 +48,17 @@ val submit : t -> Delta.update -> outcome
 val submit_batch : t -> Delta.update list -> unit
 (** Submit updates in order inside a [resilience.batch] span. *)
 
+val submit_all :
+  max_restarts:int -> on_crash:(t -> unit) -> t -> Delta.update array -> t * int
+(** Submit the updates in order, surviving injected crashes: on a
+    {!Faults.Crash} the driver is re-created from its own config and maker
+    (recovering from disk), passed to [on_crash], and the array resumes at
+    [seq - s0], where [s0] is the committed count on entry — exact as long
+    as the crash window holds no quarantined updates, which do not advance
+    [seq]. Returns the final driver and the number of restarts. Raises
+    [Failure] on a crash past [max_restarts] restarts; [on_crash] has then
+    already received the driver recovered from that crash. *)
+
 val covariance : t -> Rings.Covariance.t
 (** The maintained result — keeps answering across recoveries/rebuilds. *)
 

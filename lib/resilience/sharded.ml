@@ -2,7 +2,8 @@
    own WAL + checkpoints under dir/shard-<k>; crashes are caught inside the
    owning shard's Pool task, which recreates the driver (per-shard recovery:
    only shard k's checkpoint + WAL tail are read) and resumes its queue from
-   the recovered sequence number. *)
+   the recovered sequence number. [resume] does the same across processes:
+   it replays a stream from its start over recovered drivers. *)
 
 open Fivm
 module Cov = Rings.Covariance
@@ -11,8 +12,6 @@ let c_crashes = Obs.counter "resilience.shard.crashes"
 
 type t = {
   plan : Shard.plan;
-  configs : Driver.config array;
-  make : unit -> Maintainer.t;
   drivers : Driver.t array;
   max_restarts : int;
   crashes : int Atomic.t;
@@ -24,55 +23,54 @@ let create ?(checkpoint_every = 256) ?(audit_every = 0) ?(audit_eps = 1e-6)
   let fault_plan k =
     match faults with Some f -> f k | None -> Faults.none ()
   in
-  let configs =
+  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+  let drivers =
     Array.init n (fun k ->
-        Driver.config ~checkpoint_every ~audit_every ~audit_eps ~max_retries
-          ~faults:(fault_plan k)
-          (Filename.concat dir (Printf.sprintf "shard-%d" k)))
+        Driver.create
+          (Driver.config ~checkpoint_every ~audit_every ~audit_eps ~max_retries
+             ~faults:(fault_plan k)
+             (Filename.concat dir (Printf.sprintf "shard-%d" k)))
+          make)
   in
-  let drivers = Array.map (fun c -> Driver.create c make) configs in
-  { plan; configs; make; drivers; max_restarts; crashes = Atomic.make 0 }
+  { plan; drivers; max_restarts; crashes = Atomic.make 0 }
 
 let shards t = Array.length t.drivers
 let plan_of t = t.plan
 
-(* One shard's submit loop with in-task crash recovery. The queue position
-   is recovered as (committed seq - seq at batch entry): exact as long as
-   the crash window holds no quarantined updates, which do not advance seq
-   (same contract as the single-shard restart harness in `borg maintain`). *)
+(* One shard's submit loop; crashes recover in-task (Driver.submit_all),
+   and each recovered driver replaces the crashed one as it happens. *)
 let run_shard t k queue =
-  let queue = Array.of_list queue in
-  let n = Array.length queue in
-  let start_seq = Driver.seq t.drivers.(k) in
-  let restarts = ref 0 in
-  let rec go () =
-    let d = t.drivers.(k) in
-    let pos = Driver.seq d - start_seq in
-    try
-      for i = pos to n - 1 do
-        ignore (Driver.submit d queue.(i))
-      done
-    with Faults.Crash _ ->
-      incr restarts;
-      Atomic.incr t.crashes;
-      Obs.incr c_crashes;
-      if !restarts > t.max_restarts then
-        failwith
-          (Printf.sprintf "Sharded: shard %d exhausted %d restarts" k
-             t.max_restarts);
-      t.drivers.(k) <- Driver.create t.configs.(k) t.make;
-      go ()
+  let on_crash d =
+    t.drivers.(k) <- d;
+    Atomic.incr t.crashes;
+    Obs.incr c_crashes
   in
-  go ()
+  ignore (Driver.submit_all ~max_restarts:t.max_restarts ~on_crash t.drivers.(k) queue)
+
+let run ?domains t queues =
+  Obs.with_span "resilience.shard.batch" (fun () ->
+      let tasks = List.init (Array.length t.drivers) (fun k () -> run_shard t k queues.(k)) in
+      ignore (Util.Pool.parallel_tasks ?domains tasks))
 
 let submit_batch ?domains t updates =
-  let queues = Shard.partition t.plan updates in
-  Obs.with_span "resilience.shard.batch" (fun () ->
-      let tasks =
-        List.init (Array.length t.drivers) (fun k () ->
-            run_shard t k queues.(k))
-      in
-      ignore (Util.Pool.parallel_tasks ?domains tasks))
+  run ?domains t (Array.map Array.of_list (Shard.partition t.plan updates))
+
+(* Shard k's queue is a fixed subsequence of the stream, committed in order,
+   so its first [seq k] entries are exactly what it already holds. *)
+let resume t stream =
+  let queues = Array.map Array.of_list (Shard.partition t.plan stream) in
+  run t
+    (Array.mapi
+       (fun k q ->
+         let s = Driver.seq t.drivers.(k) and n = Array.length q in
+         if s > n then
+           failwith
+             (Printf.sprintf
+                "resilience: shard %d has committed %d updates but the stream routes \
+                 it %d: the checkpoint directory holds another stream"
+                k s n);
+         Array.sub q s (n - s))
+       queues)
 
 (* Canonical shard-order merge starting from shard 0's triple — see
    Fivm.Shard.covariance. *)

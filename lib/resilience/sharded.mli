@@ -24,7 +24,7 @@ val create :
   (unit -> Maintainer.t) ->
   t
 (** One driver per shard of [plan], each recovering from [dir/shard-<k>]
-    on creation. [faults k] supplies shard [k]'s fault plan (default: no
+    on creation ([dir] is created if absent). [faults k] supplies shard [k]'s fault plan (default: no
     faults); the same plans are reused across in-task driver recreations,
     so one-shot crash events fire once per shard. [max_restarts] (default
     8) bounds crash recoveries per shard per batch. Other options are the
@@ -35,11 +35,20 @@ val plan_of : t -> Shard.plan
 
 val submit_batch : ?domains:int -> t -> Delta.update list -> unit
 (** Partition the batch by the plan and run every shard's submit loop in
-    parallel inside a [resilience.shard.batch] span. A shard that crashes
-    recovers in-task and resumes from its recovered sequence number
-    (assuming the crash window holds no quarantined updates — parity with
-    the single-shard restart harness). Raises [Failure] if a shard
-    exhausts [max_restarts]. *)
+    parallel inside a [resilience.shard.batch] span, appending to what the
+    shards already hold. A shard that crashes recovers in-task through
+    {!Driver.submit_all}. Raises [Failure] if a shard exhausts
+    [max_restarts]. *)
+
+val resume : t -> Delta.update list -> unit
+(** [resume t stream] submits a whole stream from its start: shard [k]
+    skips the first [(seqs t).(k)] updates of its queue, the ones it has
+    already committed (recovered by {!create} or submitted earlier). So
+    rerunning the stream over a kept directory, or finishing it after a
+    kill, gives the same result as one uninterrupted run — as long as the
+    stream holds no quarantined updates, which do not advance [seq].
+    Raises [Failure] if a shard has committed more updates than the stream
+    routes to it, and as {!submit_batch}. *)
 
 val covariance : t -> Rings.Covariance.t
 (** Per-shard driver covariances merged in canonical shard order
@@ -52,7 +61,8 @@ val seqs : t -> int array
 (** Per-shard committed counts. *)
 
 val crashes : t -> int
-(** Injected crashes recovered from so far (all shards). *)
+(** Injected crashes so far (all shards), each counted as it happens —
+    including a crash past the restart budget. *)
 
 val quarantined : t -> (Delta.update * string) list
 (** Dead-letter lists concatenated in shard order. *)

@@ -37,7 +37,6 @@ val cell_ok : cell -> bool
 
 val run_cell :
   ?seed:int ->
-  ?strategies:Fivm.Maintainer.strategy list ->
   ?shards:int list ->
   ?layers:string list ->
   dataset:string ->
@@ -46,8 +45,8 @@ val run_cell :
   Relational.Database.t ->
   cell
 (** Run one cell over a generated database (transformed and streamed by
-    [Stream_gen.hostile shape]): maintain x [strategies] (default all
-    three, each against its own recompute AND the F-IVM triple), shard x
+    [Stream_gen.hostile shape]): maintain under all three strategies
+    (each against its own recompute AND the F-IVM triple), shard x
     [shards] (default [{1; 4; 8}], merged and recomputed against the
     unsharded triple), crash recovery with the full damage grammar
     ([crash-after], [torn-tail], [reorder], [dup]) against a never-crashed

@@ -80,7 +80,6 @@ type t = {
   models : (string, mentry) Hashtbl.t; (* registered name -> entry *)
   lock : Mutex.t;
   writer : bool Atomic.t; (* single-writer contract enforcement *)
-  options : Lmfao.Engine.options;
   hits : int Atomic.t;
   misses : int Atomic.t;
   invalidations : int Atomic.t;
@@ -120,8 +119,7 @@ let with_writer t ~who f =
             who));
   Fun.protect ~finally:(fun () -> Atomic.set t.writer false) f
 
-let create ?(options = Lmfao.Engine.default_options) strategy
-    (db : Database.t) ~features =
+let create strategy (db : Database.t) ~features =
   let maintainer = Maintainer.create strategy db ~features in
   let feature_index = Hashtbl.create 8 in
   List.iteri (fun i f -> Hashtbl.replace feature_index f i) features;
@@ -133,7 +131,6 @@ let create ?(options = Lmfao.Engine.default_options) strategy
     models = Hashtbl.create 8;
     lock = Mutex.create ();
     writer = Atomic.make false;
-    options;
     hits = Atomic.make 0;
     misses = Atomic.make 0;
     invalidations = Atomic.make 0;
@@ -211,7 +208,7 @@ let snapshot t : Database.t = Maintainer.snapshot t.maintainer
    bitwise equal to the interpreter's, so the serving audit's
    fresh-recompute comparison is unaffected. *)
 let recompute t (batch : Batch.t) =
-  let find = Compile.Engine.lookup ~options:t.options (snapshot t) batch in
+  let find = Compile.Engine.lookup (snapshot t) batch in
   List.map (fun (s : Spec.t) -> (s.id, find s.id)) batch.Batch.aggregates
 
 (* ---------- the read path ---------- *)

@@ -48,16 +48,11 @@ type stats = {
   model_predictions : int;
 }
 
-val create :
-  ?options:Lmfao.Engine.options ->
-  Fivm.Maintainer.strategy ->
-  Database.t ->
-  features:string list ->
-  t
+val create : Fivm.Maintainer.strategy -> Database.t -> features:string list -> t
 (** A server over an initially EMPTY database with the given schemas (the
     same contract as {!Fivm.Maintainer.create}); [features] are the numeric
-    attributes of the maintained covariance task. [options] configure the
-    recompute engine (e.g. [parallel]). *)
+    attributes of the maintained covariance task. Misses recompute with the
+    compiled engine's default options. *)
 
 val serve : t -> Aggregates.Batch.t -> (string * Spec.result) list
 (** Answer one batch: a cache hit returns the stored result without engine

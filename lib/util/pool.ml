@@ -77,20 +77,26 @@ let c_spawned = Obs.counter "pool.spawned"
 let c_inline = Obs.counter "pool.budget_inline"
 
 (* Spawn [granted] copies of [worker] (the caller already holds [granted]
-   tokens), run [worker] inline too, then join and release. Tokens and the
-   live count are restored even if a worker raises. *)
+   tokens), run [worker] inline too, then join and release. Every domain is
+   joined and tokens and the live count are restored even if a worker
+   raises; the first exception (inline first, then in spawn order) is then
+   re-raised as is. *)
 let with_workers granted worker =
   if granted <= 0 then worker ()
   else begin
     bump_peak (granted + Atomic.fetch_and_add live granted);
     Obs.add c_spawned granted;
     let spawned = List.init granted (fun _ -> Domain.spawn worker) in
-    Fun.protect
-      ~finally:(fun () ->
-        List.iter Domain.join spawned;
-        ignore (Atomic.fetch_and_add live (-granted));
-        release granted)
-      worker
+    let capture f =
+      match f () with v -> Ok v | exception e -> Error (e, Printexc.get_raw_backtrace ())
+    in
+    let inline = capture worker in
+    let joined = List.map (fun d -> capture (fun () -> Domain.join d)) spawned in
+    ignore (Atomic.fetch_and_add live (-granted));
+    release granted;
+    match List.find_map (function Error e -> Some e | Ok _ -> None) (inline :: joined) with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> Result.get_ok inline
   end
 
 (* Split [0, n) into at most [chunks] contiguous ranges. *)

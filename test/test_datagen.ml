@@ -227,4 +227,31 @@ let suite d =
       Alcotest.test_case "corrupted CSV cell is located" `Quick (test_csv_malformed d);
     ] )
 
-let () = Alcotest.run "datagen" (List.map suite datasets)
+(* ---- the lattice star workload ----
+
+   CRC-32 over each update's relation, tuple bits and multiplicity. The
+   pinned streams are the default input of `borg serve lattice` (seed 42,
+   400 steps) and the bench's insert-only traffic preload (seed 42, 300
+   inserts); any change to the star's draw order moves them. *)
+let star_digest updates =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (u : Fivm.Delta.update) ->
+      Codec.str b u.relation;
+      Codec.tuple b u.tuple;
+      Codec.i64 b u.multiplicity)
+    updates;
+  Printf.sprintf "%08x" (Util.Checksum.crc32 (Buffer.contents b))
+
+let test_star_streams_pinned () =
+  let module Star = Datagen.Star in
+  Alcotest.(check string) "insert/delete stream" "45c26e9f"
+    (star_digest (Star.stream ~value:Star.lattice ~seed:42 ~steps:400));
+  let rng = Util.Prng.create 42 in
+  Alcotest.(check string) "insert-only stream" "ecc7de76"
+    (star_digest (List.init 300 (fun _ -> Star.insert ~value:Star.lattice rng)))
+
+let () =
+  Alcotest.run "datagen"
+    (List.map suite datasets
+    @ [ ("star", [ Alcotest.test_case "pinned stream digests" `Quick test_star_streams_pinned ]) ])

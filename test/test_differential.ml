@@ -172,45 +172,15 @@ let test_heavy_light_split () =
 module M = Fivm.Maintainer
 module Delta = Fivm.Delta
 
-let stream_db () =
-  Database.create "stream"
-    [
-      Relation.create "F"
-        (Schema.make [ ("a", Value.TInt); ("b", Value.TInt); ("m", Value.TFloat) ]);
-      Relation.create "D1" (Schema.make [ ("a", Value.TInt); ("u", Value.TFloat) ]);
-      Relation.create "D2" (Schema.make [ ("b", Value.TInt); ("v", Value.TFloat) ]);
-    ]
-
-(* Inserts with small key domains (so tuples join), and deletes of
-   previously inserted tuples about a quarter of the time. *)
-let stream_update rng inserted =
-  if !inserted <> [] && Util.Prng.int rng 4 = 0 then begin
-    let u = Util.Prng.choice rng (Array.of_list !inserted) in
-    inserted := List.filter (fun x -> x != u) !inserted;
-    Delta.delete u.Delta.relation u.Delta.tuple
-  end
-  else begin
-    let rel = [| "F"; "D1"; "D2" |].(Util.Prng.int rng 3) in
-    let tuple =
-      match rel with
-      | "F" ->
-          [| int (Util.Prng.int rng 4); int (Util.Prng.int rng 4);
-             flt (Util.Prng.float rng 5.0) |]
-      | _ -> [| int (Util.Prng.int rng 4); flt (Util.Prng.float rng 5.0) |]
-    in
-    let u = Delta.insert rel tuple in
-    inserted := u :: !inserted;
-    u
-  end
-
 let test_maintenance_strategies_agree () =
-  let rng = Util.Prng.create 20260806 in
-  let inserted = ref [] in
-  let updates = Array.init 500 (fun _ -> stream_update rng inserted) in
-  let features = [ "m"; "u"; "v" ] in
+  let updates =
+    Array.of_list
+      (Datagen.Star.stream ~value:(fun rng -> Util.Prng.float rng 5.0) ~seed:20260806
+         ~steps:500)
+  in
   let maintainers =
     List.map
-      (fun s -> M.create s (stream_db ()) ~features)
+      (fun s -> M.create s (Datagen.Star.db ()) ~features:Datagen.Star.features)
       [ M.F_ivm; M.Higher_order; M.First_order ]
   in
   let batch_size = 20 in

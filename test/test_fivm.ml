@@ -6,52 +6,20 @@ open Relational
 module Cov = Rings.Covariance
 module M = Fivm.Maintainer
 module Delta = Fivm.Delta
+module Star = Datagen.Star
 
 let int n = Value.Int n
 let flt x = Value.Float x
 
-(* Star schema: F(a,b,m) with D1(a,u), D2(b,v); numeric features m,u,v. *)
-let empty_db () =
-  Database.create "stream"
-    [
-      Relation.create "F" (Schema.make [ ("a", Value.TInt); ("b", Value.TInt); ("m", Value.TFloat) ]);
-      Relation.create "D1" (Schema.make [ ("a", Value.TInt); ("u", Value.TFloat) ]);
-      Relation.create "D2" (Schema.make [ ("b", Value.TInt); ("v", Value.TFloat) ]);
-    ]
-
-let features = [ "m"; "u"; "v" ]
-
-let random_update rng inserted =
-  (* mostly inserts; deletes replay an earlier insert *)
-  let fresh () =
-    let rel = [| "F"; "D1"; "D2" |].(Util.Prng.int rng 3) in
-    let tuple =
-      match rel with
-      | "F" -> [| int (Util.Prng.int rng 4); int (Util.Prng.int rng 4); flt (float_of_int (Util.Prng.int rng 5)) |]
-      | "D1" -> [| int (Util.Prng.int rng 4); flt (float_of_int (Util.Prng.int rng 5)) |]
-      | _ -> [| int (Util.Prng.int rng 4); flt (float_of_int (Util.Prng.int rng 5)) |]
-    in
-    Delta.insert rel tuple
-  in
-  if !inserted <> [] && Util.Prng.int rng 4 = 0 then begin
-    (* delete a random previously inserted tuple *)
-    let arr = Array.of_list !inserted in
-    let u = Util.Prng.choice rng arr in
-    inserted := List.filter (fun x -> x != u) !inserted;
-    Delta.delete u.Delta.relation u.Delta.tuple
-  end
-  else begin
-    let u = fresh () in
-    inserted := u :: !inserted;
-    u
-  end
+(* Star streams with integer-valued features in [0, 4]. *)
+let stream = Star.stream ~value:(fun rng -> float_of_int (Util.Prng.int rng 5))
 
 let covariance_from_flat db =
   (* reference: materialise the join of the storage contents *)
   let join = Database.materialise_join db in
   let schema = Relation.schema join in
-  let positions = List.map (Schema.position schema) features in
-  let acc = Cov.Acc.create (List.length features) in
+  let positions = List.map (Schema.position schema) Star.features in
+  let acc = Cov.Acc.create (List.length Star.features) in
   Relation.iter
     (fun t ->
       Cov.Acc.add_tuple acc
@@ -60,7 +28,7 @@ let covariance_from_flat db =
   Cov.Acc.freeze acc
 
 let run_updates strategy updates =
-  let m = M.create strategy (empty_db ()) ~features in
+  let m = M.create strategy (Star.db ()) ~features:Star.features in
   List.iter (M.apply m) updates;
   m
 
@@ -70,9 +38,7 @@ let maintained_equals_recomputed strategy =
       (Printf.sprintf "%s: maintained = recomputed" (M.strategy_name strategy))
     QCheck2.Gen.(pair (int_range 0 60) int)
     (fun (steps, seed) ->
-      let rng = Util.Prng.create seed in
-      let inserted = ref [] in
-      let updates = List.init steps (fun _ -> random_update rng inserted) in
+      let updates = stream ~seed ~steps in
       let m = run_updates strategy updates in
       Cov.equal ~eps:1e-6 (M.covariance m) (M.recompute m))
 
@@ -80,9 +46,7 @@ let strategies_agree =
   QCheck2.Test.make ~count:20 ~name:"all three strategies agree"
     QCheck2.Gen.(pair (int_range 0 50) int)
     (fun (steps, seed) ->
-      let rng = Util.Prng.create seed in
-      let inserted = ref [] in
-      let updates = List.init steps (fun _ -> random_update rng inserted) in
+      let updates = stream ~seed ~steps in
       let a = M.covariance (run_updates M.F_ivm updates) in
       let b = M.covariance (run_updates M.Higher_order updates) in
       let c = M.covariance (run_updates M.First_order updates) in
@@ -90,12 +54,10 @@ let strategies_agree =
 
 (* deterministic end-to-end check against a flat-join reference *)
 let test_against_flat_join () =
-  let rng = Util.Prng.create 2024 in
-  let inserted = ref [] in
-  let updates = List.init 120 (fun _ -> random_update rng inserted) in
+  let updates = stream ~seed:2024 ~steps:120 in
   let m = run_updates M.F_ivm updates in
   (* replay the surviving multiset into a database *)
-  let db = empty_db () in
+  let db = Star.db () in
   let counts = Hashtbl.create 64 in
   List.iter
     (fun (u : Delta.update) ->
@@ -114,7 +76,7 @@ let test_against_flat_join () =
     (Cov.equal ~eps:1e-6 (M.covariance m) (covariance_from_flat db))
 
 let test_insert_then_delete_is_identity () =
-  let m = M.create M.F_ivm (empty_db ()) ~features in
+  let m = M.create M.F_ivm (Star.db ()) ~features:Star.features in
   let us =
     [
       Delta.insert "F" [| int 1; int 2; flt 3.0 |];
@@ -131,7 +93,7 @@ let test_insert_then_delete_is_identity () =
   Alcotest.(check (float 1e-9)) "back to empty" 0.0 (Cov.count (M.covariance m))
 
 let test_bulk_multiplicity () =
-  let m = M.create M.F_ivm (empty_db ()) ~features in
+  let m = M.create M.F_ivm (Star.db ()) ~features:Star.features in
   M.apply m { Delta.relation = "F"; tuple = [| int 1; int 1; flt 2.0 |]; multiplicity = 3 };
   M.apply m (Delta.insert "D1" [| int 1; flt 1.0 |]);
   M.apply m (Delta.insert "D2" [| int 1; flt 1.0 |]);
@@ -143,9 +105,7 @@ let test_throughput_sanity () =
   (* F-IVM should process a small stream strictly faster than first-order on
      a join with fan-out; this is the Figure 4 (right) shape at toy scale.
      Only a sanity check (no strict timing assertion, just completion). *)
-  let rng = Util.Prng.create 7 in
-  let inserted = ref [] in
-  let updates = List.init 300 (fun _ -> random_update rng inserted) in
+  let updates = stream ~seed:7 ~steps:300 in
   let m = run_updates M.F_ivm updates in
   Alcotest.(check bool) "non-trivial state" true (Cov.count (M.covariance m) >= 0.0)
 
@@ -184,7 +144,7 @@ let test_churn_nets_to_database () =
   Alcotest.(check int) "net content = database" (Database.total_cardinality db) total
 
 let test_view_sizes_reported () =
-  let m = M.create M.F_ivm (empty_db ()) ~features in
+  let m = M.create M.F_ivm (Star.db ()) ~features:Star.features in
   M.apply m (Delta.insert "F" [| int 1; int 2; flt 3.0 |]);
   match m with
   | _ ->
@@ -193,7 +153,7 @@ let test_view_sizes_reported () =
       Alcotest.(check int) "one stored tuple" 1 (Fivm.Storage.total_tuples s)
 
 let test_obs_counters_track_batch () =
-  let m = M.create M.F_ivm (empty_db ()) ~features in
+  let m = M.create M.F_ivm (Star.db ()) ~features:Star.features in
   let batch =
     [
       Delta.insert "F" [| int 1; int 2; flt 3.0 |];
@@ -455,7 +415,7 @@ let storage_agrees_with_model =
     (fun (steps, seed) ->
       let rng = Util.Prng.create seed in
       let domain = Array.of_list storage_domain in
-      let s = Storage.create (empty_db ()) in
+      let s = Storage.create (Star.db ()) in
       let md = { mults = Hashtbl.create 16; buckets = Hashtbl.create 16 } in
       let ok = ref true in
       for _ = 1 to steps do
@@ -467,7 +427,7 @@ let storage_agrees_with_model =
         Storage.apply s u;
         if not (storage_matches_model s md) then ok := false
       done;
-      let replayed = Storage.create (empty_db ()) in
+      let replayed = Storage.create (Star.db ()) in
       List.iter (Storage.apply replayed) (Storage.dump s);
       !ok && storage_buckets replayed = storage_buckets s)
 
@@ -476,7 +436,7 @@ let storage_agrees_with_model =
    the bucket size. It must allocate the same at 16 and at 16,384. *)
 let test_delete_cost_independent_of_bucket () =
   let delete_words size =
-    let s = Storage.create (empty_db ()) in
+    let s = Storage.create (Star.db ()) in
     for b = 0 to size - 1 do
       Storage.apply s (Delta.insert "F" [| int 0; int b; flt 1.0 |])
     done;

@@ -11,59 +11,18 @@
    [Ml.Models.refresh_audit]: bit-identical encodings for direct solves
    (closed-form ridge, polynomial regression), prediction tolerance for
    iterative optimisers. Bitwise equality only holds under exact float
-   arithmetic, so streams draw from the dyadic lattice of test_serve.ml. *)
+   arithmetic, so streams draw from the dyadic lattice of
+   [Datagen.Star]. *)
 
 open Relational
 module M = Fivm.Maintainer
-module Delta = Fivm.Delta
-module Batch = Aggregates.Batch
+module Star = Datagen.Star
 
-let int n = Value.Int n
 let flt x = Value.Float x
 
-(* Star schema shared with test_serve.ml: F(a,b,m), D1(a,u), D2(b,v). *)
-let empty_db () =
-  Database.create "stream"
-    [
-      Relation.create "F"
-        (Schema.make [ ("a", Value.TInt); ("b", Value.TInt); ("m", Value.TFloat) ]);
-      Relation.create "D1" (Schema.make [ ("a", Value.TInt); ("u", Value.TFloat) ]);
-      Relation.create "D2" (Schema.make [ ("b", Value.TInt); ("v", Value.TFloat) ]);
-    ]
-
-let features = [ "m"; "u"; "v" ]
 let response = "m"
 let strategies = [ (M.F_ivm, "fivm"); (M.Higher_order, "higher"); (M.First_order, "first") ]
-
-let random_update rng inserted =
-  let fresh () =
-    let value () = float_of_int (1 + Util.Prng.int rng 64) /. 16.0 in
-    let rel = [| "F"; "D1"; "D2" |].(Util.Prng.int rng 3) in
-    let tuple =
-      match rel with
-      | "F" ->
-          [| int (Util.Prng.int rng 4); int (Util.Prng.int rng 4); flt (value ()) |]
-      | _ -> [| int (Util.Prng.int rng 4); flt (value ()) |]
-    in
-    Delta.insert rel tuple
-  in
-  if !inserted <> [] && Util.Prng.int rng 4 = 0 then begin
-    let arr = Array.of_list !inserted in
-    let u = Util.Prng.choice rng arr in
-    inserted := List.filter (fun x -> x != u) !inserted;
-    Delta.delete u.Delta.relation u.Delta.tuple
-  end
-  else begin
-    let u = fresh () in
-    inserted := u :: !inserted;
-    u
-  end
-
-let lattice_stream ~seed ~steps =
-  let rng = Util.Prng.create seed in
-  let inserted = ref [] in
-  List.init steps (fun _ -> random_update rng inserted)
-
+let lattice_stream = Star.stream ~value:Star.lattice
 let segment stream lo len = List.filteri (fun i _ -> i >= lo && i < lo + len) stream
 
 (* ---------- the warm-vs-cold audit ---------- *)
@@ -88,7 +47,7 @@ let cold_bundle srv =
   Ml.Model_intf.moments_of_covariance
     ~snapshot:(fun () -> Serve.snapshot srv)
     (M.recompute (Serve.maintainer srv))
-    ~features ~response
+    ~features:Star.features ~response
 
 let audit_model srv what name =
   let spec = Serve.Model.spec_of srv name in
@@ -129,7 +88,7 @@ let warm_refresh_differential =
     (fun (seed, rounds, batch) ->
       List.for_all
         (fun (strategy, sname) ->
-          let srv = Serve.create strategy (empty_db ()) ~features in
+          let srv = Serve.create strategy (Star.db ()) ~features:Star.features in
           let initial = 16 in
           let stream =
             lattice_stream ~seed ~steps:(initial + (rounds * batch))
@@ -166,7 +125,7 @@ let warm_refresh_regression seed () =
    envelope. Deterministic and small: their cold retrains are the expensive
    path the warm refresh exists to avoid. *)
 let test_snapshot_backed_models () =
-  let srv = Serve.create M.F_ivm (empty_db ()) ~features in
+  let srv = Serve.create M.F_ivm (Star.db ()) ~features:Star.features in
   let stream = lattice_stream ~seed:23 ~steps:60 in
   Serve.apply_deltas srv (segment stream 0 40);
   List.iter
@@ -187,7 +146,7 @@ let test_snapshot_backed_models () =
    moment the next epoch would exceed the budget; Model.refresh forces
    freshness on demand and is a no-op when already current. *)
 let test_staleness_budget () =
-  let srv = Serve.create M.F_ivm (empty_db ()) ~features in
+  let srv = Serve.create M.F_ivm (Star.db ()) ~features:Star.features in
   let stream = lattice_stream ~seed:5 ~steps:100 in
   let seg = ref 0 in
   let advance n =
@@ -243,9 +202,9 @@ let test_clients_clamped () =
   Util.Pool.set_worker_budget 1;
   Fun.protect ~finally:(fun () -> Util.Pool.set_worker_budget saved)
   @@ fun () ->
-  let srv = Serve.create M.Higher_order (empty_db ()) ~features in
+  let srv = Serve.create M.Higher_order (Star.db ()) ~features:Star.features in
   Serve.apply_deltas srv (lattice_stream ~seed:7 ~steps:60);
-  let batch = Batch.covariance_numeric features in
+  let batch = Star.cov_batch in
   let burst = List.init 6 (fun _ -> batch) in
   Alcotest.(check int) "no clamp yet" 0 (Serve.stats srv).Serve.clients_clamped;
   let within = Serve.serve_many ~clients:2 srv burst in
@@ -263,7 +222,7 @@ let test_clients_clamped () =
 (* ---------- codec round trips through the registry ---------- *)
 
 let test_codec_roundtrip () =
-  let srv = Serve.create M.F_ivm (empty_db ()) ~features in
+  let srv = Serve.create M.F_ivm (Star.db ()) ~features:Star.features in
   Serve.apply_deltas srv (lattice_stream ~seed:13 ~steps:80);
   let db = Serve.snapshot srv in
   let feature =
@@ -295,7 +254,7 @@ let test_codec_roundtrip () =
    differ only in float rounding from summation order. *)
 let test_fm_moment_vs_rows () =
   let rng = Util.Prng.create 31 in
-  let dyadic () = float_of_int (1 + Util.Prng.int rng 64) /. 16.0 in
+  let dyadic () = Star.lattice rng in
   let x = Array.init 40 (fun _ -> [| dyadic (); dyadic () |]) in
   let y = Array.map (fun r -> (0.5 *. r.(0)) -. (0.25 *. r.(1) *. r.(1))) x in
   let by_rows = Ml.Factorization_machine.train_on_rows x y in

@@ -12,51 +12,15 @@ module Wal = Resilience.Wal
 module Checkpoint = Resilience.Checkpoint
 module Faults = Resilience.Faults
 module Driver = Resilience.Driver
+module Star = Datagen.Star
 
 let int n = Value.Int n
 let flt x = Value.Float x
 
-(* Star schema: F(a,b,m) with D1(a,u), D2(b,v); numeric features m,u,v. *)
-let empty_db () =
-  Database.create "stream"
-    [
-      Relation.create "F"
-        (Schema.make [ ("a", Value.TInt); ("b", Value.TInt); ("m", Value.TFloat) ]);
-      Relation.create "D1" (Schema.make [ ("a", Value.TInt); ("u", Value.TFloat) ]);
-      Relation.create "D2" (Schema.make [ ("b", Value.TInt); ("v", Value.TFloat) ]);
-    ]
+let make strategy () = M.create strategy (Star.db ()) ~features:Star.features
 
-let features = [ "m"; "u"; "v" ]
-let make strategy () = M.create strategy (empty_db ()) ~features
-
-let random_update rng inserted =
-  let fresh () =
-    let rel = [| "F"; "D1"; "D2" |].(Util.Prng.int rng 3) in
-    let tuple =
-      match rel with
-      | "F" ->
-          [| int (Util.Prng.int rng 4); int (Util.Prng.int rng 4);
-             flt (Util.Prng.float rng 5.0) |]
-      | _ -> [| int (Util.Prng.int rng 4); flt (Util.Prng.float rng 5.0) |]
-    in
-    Delta.insert rel tuple
-  in
-  if !inserted <> [] && Util.Prng.int rng 4 = 0 then begin
-    let arr = Array.of_list !inserted in
-    let u = Util.Prng.choice rng arr in
-    inserted := List.filter (fun x -> x != u) !inserted;
-    Delta.delete u.Delta.relation u.Delta.tuple
-  end
-  else begin
-    let u = fresh () in
-    inserted := u :: !inserted;
-    u
-  end
-
-let stream ~seed ~steps =
-  let rng = Util.Prng.create seed in
-  let inserted = ref [] in
-  List.init steps (fun _ -> random_update rng inserted)
+(* Arbitrary floats: recovery must reproduce the crash-free summation order. *)
+let stream = Star.stream ~value:(fun rng -> Util.Prng.float rng 5.0)
 
 let bit_exact = Alcotest.(result unit string)
 
@@ -76,24 +40,13 @@ let clean_covariance strategy updates =
   List.iter (M.apply m) updates;
   M.covariance m
 
-(* Drive [updates] through a driver that may crash; on {!Faults.Crash},
-   rebuild the driver from disk (the recovery path) and resume the stream
-   from its recovered sequence number. *)
+(* Drive [updates] through a driver that may crash, recovering from disk
+   after each crash. *)
 let run_resilient ~cfg ~strategy updates =
-  let n = List.length updates in
-  let arr = Array.of_list updates in
-  let rec go attempts d =
-    if attempts > 25 then failwith "crash loop";
-    let from = Driver.seq d in
-    match
-      for i = from to n - 1 do
-        ignore (Driver.submit d arr.(i))
-      done
-    with
-    | () -> d
-    | exception Faults.Crash _ -> go (attempts + 1) (Driver.create cfg (make strategy))
-  in
-  go 0 (Driver.create cfg (make strategy))
+  fst
+    (Driver.submit_all ~max_restarts:25 ~on_crash:ignore
+       (Driver.create cfg (make strategy))
+       (Array.of_list updates))
 
 (* ---- codec round-trips ---- *)
 

@@ -125,19 +125,11 @@ let test_reorder_dup_recovery strategy () =
   in
   let cfg = Resilience.Driver.config ~checkpoint_every:50 ~faults dir in
   let make () = M.create strategy db ~features in
-  let restarts = ref 0 in
-  let rec drive d i =
-    if i >= n then d
-    else
-      match Resilience.Driver.submit d stream.(i) with
-      | Resilience.Driver.Applied | Resilience.Driver.Quarantined _ -> drive d (i + 1)
-      | exception Resilience.Faults.Crash _ ->
-          incr restarts;
-          let d = Resilience.Driver.create cfg make in
-          drive d (Resilience.Driver.seq d)
+  let d, restarts =
+    Resilience.Driver.submit_all ~max_restarts:8 ~on_crash:ignore
+      (Resilience.Driver.create cfg make) stream
   in
-  let d = drive (Resilience.Driver.create cfg make) 0 in
-  Alcotest.(check bool) "crashed at least once" true (!restarts >= 1);
+  Alcotest.(check bool) "crashed at least once" true (restarts >= 1);
   Alcotest.check bit_exact "recovered == never-crashed (bits)" (Ok ())
     (Oracle.covariance (Resilience.Driver.covariance d) want);
   Resilience.Driver.close d

@@ -8,7 +8,7 @@
    of a random insert/delete stream, for all three maintenance strategies.
    Bitwise equality across the maintained and recomputed pipelines only
    holds under exact float arithmetic, so the streams draw feature values
-   from the dyadic lattice of [test_shard.ml] (strictly positive multiples
+   from the dyadic lattice of [Datagen.Star] (strictly positive multiples
    of 1/16, at most 4): every covariance accumulation is then exactly
    representable and no summation order can change a bit. *)
 
@@ -17,71 +17,14 @@ module M = Fivm.Maintainer
 module Delta = Fivm.Delta
 module Batch = Aggregates.Batch
 module Spec = Aggregates.Spec
+module Star = Datagen.Star
 
 let int n = Value.Int n
 let flt x = Value.Float x
 
-(* Star schema shared with test_shard.ml: F(a,b,m), D1(a,u), D2(b,v). *)
-let empty_db () =
-  Database.create "stream"
-    [
-      Relation.create "F"
-        (Schema.make [ ("a", Value.TInt); ("b", Value.TInt); ("m", Value.TFloat) ]);
-      Relation.create "D1" (Schema.make [ ("a", Value.TInt); ("u", Value.TFloat) ]);
-      Relation.create "D2" (Schema.make [ ("b", Value.TInt); ("v", Value.TFloat) ]);
-    ]
-
-let features = [ "m"; "u"; "v" ]
 let strategies = [ (M.F_ivm, "fivm"); (M.Higher_order, "higher"); (M.First_order, "first") ]
-
-let random_update rng inserted =
-  let fresh () =
-    let value () = float_of_int (1 + Util.Prng.int rng 64) /. 16.0 in
-    let rel = [| "F"; "D1"; "D2" |].(Util.Prng.int rng 3) in
-    let tuple =
-      match rel with
-      | "F" ->
-          [| int (Util.Prng.int rng 4); int (Util.Prng.int rng 4); flt (value ()) |]
-      | _ -> [| int (Util.Prng.int rng 4); flt (value ()) |]
-    in
-    Delta.insert rel tuple
-  in
-  if !inserted <> [] && Util.Prng.int rng 4 = 0 then begin
-    let arr = Array.of_list !inserted in
-    let u = Util.Prng.choice rng arr in
-    inserted := List.filter (fun x -> x != u) !inserted;
-    Delta.delete u.Delta.relation u.Delta.tuple
-  end
-  else begin
-    let u = fresh () in
-    inserted := u :: !inserted;
-    u
-  end
-
-let lattice_stream ~seed ~steps =
-  let rng = Util.Prng.create seed in
-  let inserted = ref [] in
-  List.init steps (fun _ -> random_update rng inserted)
-
+let lattice_stream = Star.stream ~value:Star.lattice
 let segment stream lo len = List.filteri (fun i _ -> i >= lo && i < lo + len) stream
-
-(* The served batch mix: one fully covariance-backed batch (refreshed in
-   place on deltas), one categorical batch and one grouped batch (both
-   invalidated on deltas, recomputed on the next request). *)
-let cov_batch = Batch.covariance_numeric features
-let mi_batch = Batch.mutual_information [ "a"; "b" ]
-
-let grouped_batch =
-  {
-    Batch.name = "grouped";
-    aggregates =
-      [
-        Spec.make ~id:"sum_m_by_a" ~terms:[ ("m", 1) ] ~group_by:[ "a" ] ();
-        Spec.count ~id:"n";
-      ];
-  }
-
-let all_batches = [ cov_batch; mi_batch; grouped_batch ]
 
 (* Bit-level equality of keyed results, insensitive to aggregate and row
    order (the engine groups by decomposition root; serve returns batch
@@ -109,7 +52,7 @@ let serving_differential =
     (fun (seed, steps, rounds) ->
       List.for_all
         (fun (strategy, sname) ->
-          let srv = Serve.create strategy (empty_db ()) ~features in
+          let srv = Serve.create strategy (Star.db ()) ~features:Star.features in
           let per = steps / (rounds + 1) in
           let stream = lattice_stream ~seed ~steps in
           Serve.apply_deltas srv (segment stream 0 per);
@@ -118,7 +61,7 @@ let serving_differential =
               (fun b ->
                 check_batch srv (Printf.sprintf "%s round %d miss" sname round) b;
                 check_batch srv (Printf.sprintf "%s round %d hit" sname round) b)
-              all_batches;
+              Star.batches;
             Serve.apply_deltas srv (segment stream (round * per) per);
             (* immediately after the delta batch: the covariance batch was
                refreshed in place (no recompute), the others invalidated —
@@ -128,7 +71,7 @@ let serving_differential =
                 check_batch srv
                   (Printf.sprintf "%s round %d post-delta" sname round)
                   b)
-              all_batches
+              Star.batches
           done;
           true)
         strategies)
@@ -137,12 +80,12 @@ let serving_differential =
    hits on repeats, refresh (not invalidation) for the covariance-backed
    batch, invalidation for the rest; epoch advances once per delta batch. *)
 let test_stats_and_epoch () =
-  let srv = Serve.create M.F_ivm (empty_db ()) ~features in
+  let srv = Serve.create M.F_ivm (Star.db ()) ~features:Star.features in
   let stream = lattice_stream ~seed:11 ~steps:60 in
   Serve.apply_deltas srv (segment stream 0 40);
   Alcotest.(check int) "epoch after first delta batch" 1 (Serve.epoch srv);
-  List.iter (fun b -> ignore (Serve.serve srv b)) all_batches;
-  List.iter (fun b -> ignore (Serve.serve srv b)) all_batches;
+  List.iter (fun b -> ignore (Serve.serve srv b)) Star.batches;
+  List.iter (fun b -> ignore (Serve.serve srv b)) Star.batches;
   let s = Serve.stats srv in
   Alcotest.(check int) "one miss per distinct batch" 3 s.Serve.misses;
   Alcotest.(check int) "repeats all hit" 3 s.Serve.hits;
@@ -155,7 +98,7 @@ let test_stats_and_epoch () =
   Alcotest.(check int) "invalidated entries dropped" 1 (Serve.cache_size srv);
   (* the refreshed entry serves as a HIT and still equals recompute *)
   let before = (Serve.stats srv).Serve.hits in
-  check_batch srv "refreshed hit" cov_batch;
+  check_batch srv "refreshed hit" Star.cov_batch;
   Alcotest.(check int) "refresh served without recompute" (before + 1)
     (Serve.stats srv).Serve.hits
 
@@ -163,7 +106,7 @@ let test_stats_and_epoch () =
    aggregate ids out: [a=SUM(m); b=SUM(u)] then [b=SUM(m); a=SUM(u)] hit
    the first entry and came back with [a] and [b] swapped. *)
 let test_permuted_ids () =
-  let srv = Serve.create M.F_ivm (empty_db ()) ~features in
+  let srv = Serve.create M.F_ivm (Star.db ()) ~features:Star.features in
   Serve.apply_deltas srv (lattice_stream ~seed:5 ~steps:40);
   let batch a b =
     {
@@ -207,7 +150,7 @@ let test_fingerprint_collision () =
         search (i + 1)
   in
   let first, second = search 0 in
-  let srv = Serve.create M.F_ivm (empty_db ()) ~features in
+  let srv = Serve.create M.F_ivm (Star.db ()) ~features:Star.features in
   Serve.apply_deltas srv (lattice_stream ~seed:5 ~steps:40);
   List.iter
     (fun b ->
@@ -223,12 +166,12 @@ let test_concurrent_clients () =
   Util.Pool.set_worker_budget 3;
   Fun.protect ~finally:(fun () -> Util.Pool.set_worker_budget saved)
   @@ fun () ->
-  let srv = Serve.create M.Higher_order (empty_db ()) ~features in
+  let srv = Serve.create M.Higher_order (Star.db ()) ~features:Star.features in
   Serve.apply_deltas srv (lattice_stream ~seed:7 ~steps:80);
   (* warm the cache sequentially so the concurrent burst only reads *)
-  List.iter (fun b -> ignore (Serve.serve srv b)) all_batches;
-  let expected = List.map (fun b -> fresh_eval srv b) all_batches in
-  let burst = List.concat (List.init 4 (fun _ -> all_batches)) in
+  List.iter (fun b -> ignore (Serve.serve srv b)) Star.batches;
+  let expected = List.map (fun b -> fresh_eval srv b) Star.batches in
+  let burst = List.concat (List.init 4 (fun _ -> Star.batches)) in
   let got = Serve.serve_many ~clients:4 srv burst in
   List.iteri
     (fun i r ->
@@ -271,7 +214,7 @@ let test_single_writer_enforced () =
       let decode _ = ()
     end)
   in
-  let srv = Serve.create M.F_ivm (empty_db ()) ~features in
+  let srv = Serve.create M.F_ivm (Star.db ()) ~features:Star.features in
   Serve.apply_deltas srv (lattice_stream ~seed:3 ~steps:30);
   ignore (Serve.Model.register srv blocking_model ~response:"m");
   let update = [ Delta.insert "D1" [| int 0; flt 1.0 |] ] in

@@ -19,65 +19,20 @@ module Delta = Fivm.Delta
 module Shard = Fivm.Shard
 module Faults = Resilience.Faults
 module Sharded = Resilience.Sharded
+module Star = Datagen.Star
 
-let int n = Value.Int n
-let flt x = Value.Float x
-
-(* Star schema: F(a,b,m) with D1(a,u), D2(b,v); numeric features m,u,v.
-   The partition attribute resolves to "a" (in F and D1); D2 is broadcast. *)
-let empty_db () =
-  Database.create "stream"
-    [
-      Relation.create "F"
-        (Schema.make [ ("a", Value.TInt); ("b", Value.TInt); ("m", Value.TFloat) ]);
-      Relation.create "D1" (Schema.make [ ("a", Value.TInt); ("u", Value.TFloat) ]);
-      Relation.create "D2" (Schema.make [ ("b", Value.TInt); ("v", Value.TFloat) ]);
-    ]
-
-let features = [ "m"; "u"; "v" ]
+(* The star's partition attribute resolves to "a" (in F and D1); D2 is
+   broadcast. *)
 let strategies = [ M.F_ivm; M.Higher_order; M.First_order ]
-let make strategy () = M.create strategy (empty_db ()) ~features
-
-(* Insert/delete stream over the star schema; [value] draws one feature. *)
-let random_update ~value rng inserted =
-  let fresh () =
-    let rel = [| "F"; "D1"; "D2" |].(Util.Prng.int rng 3) in
-    let tuple =
-      match rel with
-      | "F" ->
-          [| int (Util.Prng.int rng 4); int (Util.Prng.int rng 4); flt (value rng) |]
-      | _ -> [| int (Util.Prng.int rng 4); flt (value rng) |]
-    in
-    Delta.insert rel tuple
-  in
-  if !inserted <> [] && Util.Prng.int rng 4 = 0 then begin
-    let arr = Array.of_list !inserted in
-    let u = Util.Prng.choice rng arr in
-    inserted := List.filter (fun x -> x != u) !inserted;
-    Delta.delete u.Delta.relation u.Delta.tuple
-  end
-  else begin
-    let u = fresh () in
-    inserted := u :: !inserted;
-    u
-  end
-
-let stream_with ~value ~seed ~steps =
-  let rng = Util.Prng.create seed in
-  let inserted = ref [] in
-  List.init steps (fun _ -> random_update ~value rng inserted)
+let make strategy () = M.create strategy (Star.db ()) ~features:Star.features
 
 (* Exact-arithmetic stream: features are strictly positive multiples of
    1/16 (never -0.0, never rounding), so every covariance accumulation is
    exact and summation order cannot change a single bit. *)
-let lattice_stream ~seed ~steps =
-  stream_with
-    ~value:(fun rng -> float_of_int (1 + Util.Prng.int rng 64) /. 16.0)
-    ~seed ~steps
+let lattice_stream = Star.stream ~value:Star.lattice
 
 (* Arbitrary-float stream: order-sensitive accumulations. *)
-let float_stream ~seed ~steps =
-  stream_with ~value:(fun rng -> Util.Prng.float rng 5.0) ~seed ~steps
+let float_stream = Star.stream ~value:(fun rng -> Util.Prng.float rng 5.0)
 
 let bit_exact = Alcotest.(result unit string)
 
@@ -114,7 +69,7 @@ let sharded_bit_identical strategy =
       let reference = clean_covariance strategy updates in
       List.for_all
         (fun shards ->
-          let sh = Shard.create strategy (empty_db ()) ~features ~shards in
+          let sh = Shard.create strategy (Star.db ()) ~features:Star.features ~shards in
           Shard.apply_batch sh updates;
           Oracle.covariance (Shard.covariance sh) reference = Ok ()
           && Oracle.covariance (Shard.recompute sh) reference = Ok ())
@@ -125,9 +80,9 @@ let test_apply_matches_apply_batch () =
   let updates = lattice_stream ~seed:97 ~steps:300 in
   List.iter
     (fun strategy ->
-      let one = Shard.create strategy (empty_db ()) ~features ~shards:3 in
+      let one = Shard.create strategy (Star.db ()) ~features:Star.features ~shards:3 in
       List.iter (Shard.apply one) updates;
-      let batch = Shard.create strategy (empty_db ()) ~features ~shards:3 in
+      let batch = Shard.create strategy (Star.db ()) ~features:Star.features ~shards:3 in
       Shard.apply_batch batch updates;
       Alcotest.check bit_exact
         (M.strategy_name strategy ^ ": apply = apply_batch")
@@ -139,13 +94,13 @@ let test_apply_matches_apply_batch () =
 let test_domain_count_invariance () =
   let updates = lattice_stream ~seed:3 ~steps:400 in
   let reference =
-    let sh = Shard.create M.F_ivm (empty_db ()) ~features ~shards:4 in
+    let sh = Shard.create M.F_ivm (Star.db ()) ~features:Star.features ~shards:4 in
     Shard.apply_batch ~domains:1 sh updates;
     Shard.covariance sh
   in
   List.iter
     (fun domains ->
-      let sh = Shard.create M.F_ivm (empty_db ()) ~features ~shards:4 in
+      let sh = Shard.create M.F_ivm (Star.db ()) ~features:Star.features ~shards:4 in
       Shard.apply_batch ~domains sh updates;
       Alcotest.check bit_exact
         (Printf.sprintf "domains=%d bit-identical to domains=1" domains)
@@ -167,7 +122,7 @@ let sharded_crash_recovery strategy =
       List.for_all
         (fun shards ->
           with_temp_dir @@ fun dir ->
-          let plan = Shard.plan ~shards (empty_db ()) in
+          let plan = Shard.plan ~shards (Star.db ()) in
           let spec = Printf.sprintf "crash-after:%d,torn-tail:4" crash_at in
           let sh =
             Sharded.create ~checkpoint_every:16
@@ -193,7 +148,7 @@ let test_sharded_restart () =
   with_temp_dir @@ fun dir ->
   let updates = lattice_stream ~seed:8 ~steps:400 in
   let reference = clean_covariance M.F_ivm updates in
-  let plan = Shard.plan ~shards:4 (empty_db ()) in
+  let plan = Shard.plan ~shards:4 (Star.db ()) in
   let half = List.filteri (fun i _ -> i < 200) updates in
   let rest = List.filteri (fun i _ -> i >= 200) updates in
   let sh = Sharded.create ~checkpoint_every:32 ~dir ~plan (make M.F_ivm) in
@@ -218,7 +173,7 @@ let test_sharded_restart () =
 (* ---- routing ---- *)
 
 let test_plan_and_partition () =
-  let db = empty_db () in
+  let db = Star.db () in
   let plan = Shard.plan ~shards:4 db in
   Alcotest.(check string) "partition attribute" "a" (Shard.plan_attr plan);
   Alcotest.(check int) "shards" 4 (Shard.plan_shards plan);
@@ -267,7 +222,7 @@ let test_plan_and_partition () =
 let test_arbitrary_floats_deterministic () =
   let updates = float_stream ~seed:1234 ~steps:500 in
   let run () =
-    let sh = Shard.create M.F_ivm (empty_db ()) ~features ~shards:3 in
+    let sh = Shard.create M.F_ivm (Star.db ()) ~features:Star.features ~shards:3 in
     Shard.apply_batch sh updates;
     Shard.covariance sh
   in
@@ -278,13 +233,113 @@ let test_arbitrary_floats_deterministic () =
   Alcotest.(check bool) "agrees with unsharded up to summation order" true
     (Cov.equal_rel ~eps:1e-9 reference a)
 
+(* One shard is the unsharded pipeline, bit for bit, even where summation
+   order matters: shard 0 sees the whole stream in order and the merge
+   returns its triple verbatim. *)
+let test_one_shard_is_bare_maintainer () =
+  let updates = float_stream ~seed:4321 ~steps:500 in
+  List.iter
+    (fun strategy ->
+      let sh = Shard.create strategy (Star.db ()) ~features:Star.features ~shards:1 in
+      Shard.apply_batch sh updates;
+      Alcotest.check bit_exact
+        (M.strategy_name strategy ^ ": 1 shard = bare maintainer")
+        (Ok ())
+        (Oracle.covariance (Shard.covariance sh) (clean_covariance strategy updates)))
+    strategies
+
+(* The same for recovery: a crashing 1-shard Sharded run equals a bare
+   Driver run under the same fault plan, and both equal the clean run. *)
+let test_one_shard_is_bare_driver () =
+  let updates = float_stream ~seed:8765 ~steps:400 in
+  let spec = "crash-after:150,torn-tail:4" in
+  List.iter
+    (fun strategy ->
+      let name = M.strategy_name strategy in
+      let bare =
+        with_temp_dir @@ fun dir ->
+        let cfg =
+          Resilience.Driver.config ~checkpoint_every:16 ~faults:(Faults.parse ~seed:5 spec) dir
+        in
+        let d, restarts =
+          Resilience.Driver.submit_all ~max_restarts:8 ~on_crash:ignore
+            (Resilience.Driver.create cfg (make strategy))
+            (Array.of_list updates)
+        in
+        Alcotest.(check int) (name ^ ": bare driver crashed once") 1 restarts;
+        Resilience.Driver.covariance d
+      in
+      let sharded =
+        with_temp_dir @@ fun dir ->
+        (* like the bare driver's, the checkpoint directory need not exist *)
+        let dir = Filename.concat dir "maintain" in
+        let sh =
+          Sharded.create ~checkpoint_every:16
+            ~faults:(fun k -> Faults.parse ~seed:(5 + k) spec)
+            ~dir ~plan:(Shard.plan ~shards:1 (Star.db ())) (make strategy)
+        in
+        Sharded.submit_batch sh updates;
+        Alcotest.(check int) (name ^ ": 1-shard run crashed once") 1 (Sharded.crashes sh);
+        Sharded.covariance sh
+      in
+      Alcotest.check bit_exact (name ^ ": 1-shard Sharded = bare Driver") (Ok ())
+        (Oracle.covariance sharded bare);
+      Alcotest.check bit_exact (name ^ ": bare Driver = clean run") (Ok ())
+        (Oracle.covariance bare (clean_covariance strategy updates)))
+    strategies
+
+(* A run stopped past its restart budget, then finished over the same
+   directory: the fatal crash is counted and its recovered driver replaces
+   the crashed one, the stopped pipeline closes cleanly, and resuming the
+   whole stream — once, then again as a rerun — equals a clean replay. *)
+let test_resume_after_stop () =
+  let updates = float_stream ~seed:4242 ~steps:400 in
+  List.iter
+    (fun shards ->
+      let name = Printf.sprintf "%d shard(s)" shards in
+      with_temp_dir @@ fun dir ->
+      let plan = Shard.plan ~shards (Star.db ()) in
+      let clean = Shard.create M.F_ivm (Star.db ()) ~features:Star.features ~shards in
+      Shard.apply_batch clean updates;
+      let open_sharded ?faults () =
+        Sharded.create ~checkpoint_every:16 ~max_restarts:0 ?faults ~dir ~plan
+          (make M.F_ivm)
+      in
+      let sh =
+        open_sharded ~faults:(fun k -> Faults.parse ~seed:k "crash-after:40,torn-tail:4") ()
+      in
+      let first = Sharded.driver sh 0 in
+      (match Sharded.submit_batch sh updates with
+      | () -> Alcotest.fail (name ^ ": a crash survived a restart budget of 0")
+      | exception Failure _ -> ());
+      Alcotest.(check bool) (name ^ ": the crash past the budget is counted") true
+        (Sharded.crashes sh >= 1);
+      if shards = 1 then
+        Alcotest.(check bool) (name ^ ": the crashed driver is replaced") true
+          (Sharded.driver sh 0 != first);
+      Sharded.close sh;
+      let expected = Array.map List.length (Shard.partition plan updates) in
+      for run = 1 to 2 do
+        let sh = open_sharded () in
+        Sharded.resume sh updates;
+        Alcotest.(check (array int))
+          (Printf.sprintf "%s, run %d: every queue committed once" name run)
+          expected (Sharded.seqs sh);
+        Alcotest.check bit_exact
+          (Printf.sprintf "%s, run %d: resumed = clean replay" name run)
+          (Ok ())
+          (Oracle.covariance (Sharded.covariance sh) (Shard.covariance clean));
+        Sharded.close sh
+      done)
+    [ 1; 4 ]
+
 (* ---- observability ---- *)
 
 let test_shard_counters () =
   Obs.reset ();
   Obs.with_enabled true @@ fun () ->
   let updates = lattice_stream ~seed:77 ~steps:200 in
-  let sh = Shard.create M.F_ivm (empty_db ()) ~features ~shards:2 in
+  let sh = Shard.create M.F_ivm (Star.db ()) ~features:Star.features ~shards:2 in
   Shard.apply_batch sh updates;
   ignore (Shard.covariance sh);
   Alcotest.(check bool) "fivm.shard.routed > 0" true
@@ -313,10 +368,18 @@ let () =
               test_domain_count_invariance;
             Alcotest.test_case "arbitrary floats: deterministic for fixed N" `Quick
               test_arbitrary_floats_deterministic;
+            Alcotest.test_case "arbitrary floats: 1 shard = bare maintainer" `Quick
+              test_one_shard_is_bare_maintainer;
           ] );
       ( "crash-recovery",
         List.map (fun s -> qcheck (sharded_crash_recovery s)) strategies
-        @ [ Alcotest.test_case "clean restart per shard" `Quick test_sharded_restart ] );
+        @ [
+            Alcotest.test_case "clean restart per shard" `Quick test_sharded_restart;
+            Alcotest.test_case "arbitrary floats: 1-shard Sharded = bare Driver" `Quick
+              test_one_shard_is_bare_driver;
+            Alcotest.test_case "resume after a stop, then rerun" `Quick
+              test_resume_after_stop;
+          ] );
       ( "routing",
         [ Alcotest.test_case "plan and partition" `Quick test_plan_and_partition ] );
       ( "observability",

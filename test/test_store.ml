@@ -306,61 +306,24 @@ let test_engine_differential () =
 
 (* ---------------------------------------------------- F-IVM differential *)
 
-(* Star schema + dyadic-lattice streams, as in test_shard: exact payload
-   arithmetic makes every covariance accumulation order-independent down to
-   the last bit, so base-loading the stream's LIVE SET from per-shard page
+(* Dyadic-lattice star streams (Datagen.Star): exact payload arithmetic
+   makes every covariance accumulation order-independent down to the last
+   bit, so base-loading the stream's LIVE SET from per-shard page
    directories must reproduce the directly-maintained triple exactly. *)
-let empty_db () =
-  Database.create "stream"
-    [
-      Relation.create "F"
-        (Schema.make
-           [ ("a", Value.TInt); ("b", Value.TInt); ("m", Value.TFloat) ]);
-      Relation.create "D1"
-        (Schema.make [ ("a", Value.TInt); ("u", Value.TFloat) ]);
-      Relation.create "D2"
-        (Schema.make [ ("b", Value.TInt); ("v", Value.TFloat) ]);
-    ]
+module Star = Datagen.Star
 
-let features = [ "m"; "u"; "v" ]
 let strategies = [ M.F_ivm; M.Higher_order; M.First_order ]
-
-let lattice rng = flt (float_of_int (1 + Util.Prng.int rng 64) /. 16.0)
-
-let random_update rng inserted =
-  let fresh () =
-    let rel = [| "F"; "D1"; "D2" |].(Util.Prng.int rng 3) in
-    let tuple =
-      match rel with
-      | "F" ->
-          [| int (Util.Prng.int rng 4); int (Util.Prng.int rng 4); lattice rng |]
-      | _ -> [| int (Util.Prng.int rng 4); lattice rng |]
-    in
-    Delta.insert rel tuple
-  in
-  if !inserted <> [] && Util.Prng.int rng 4 = 0 then begin
-    let arr = Array.of_list !inserted in
-    let u = Util.Prng.choice rng arr in
-    inserted := List.filter (fun x -> x != u) !inserted;
-    Delta.delete u.Delta.relation u.Delta.tuple
-  end
-  else begin
-    let u = fresh () in
-    inserted := u :: !inserted;
-    u
-  end
 
 (* The stream plus its live multiset (inserts not yet deleted), the latter
    materialised as relations in insertion order. *)
 let lattice_stream_and_live ~seed ~steps =
-  let rng = Util.Prng.create seed in
-  let inserted = ref [] in
-  let updates = List.init steps (fun _ -> random_update rng inserted) in
-  let db = empty_db () in
+  let rng = Util.Prng.create seed and live = Star.live () in
+  let updates = List.init steps (fun _ -> Star.update ~value:Star.lattice live rng) in
+  let db = Star.db () in
   List.iter
     (fun u ->
       Relation.append (Database.relation db u.Delta.relation) u.Delta.tuple)
-    (List.rev !inserted);
+    (Star.live_inserts live);
   (updates, db)
 
 let fivm_load_base_bit_identical strategy =
@@ -371,7 +334,7 @@ let fivm_load_base_bit_identical strategy =
     QCheck2.Gen.int
     (fun seed ->
       let updates, live = lattice_stream_and_live ~seed ~steps:240 in
-      let m = M.create strategy (empty_db ()) ~features in
+      let m = M.create strategy (Star.db ()) ~features:Star.features in
       List.iter (M.apply m) updates;
       let direct = M.covariance m in
       with_temp_dir @@ fun dir ->
@@ -386,7 +349,7 @@ let fivm_load_base_bit_identical strategy =
            (Database.relation live "D1"));
       ignore
         (Loader.import_relation ~dir ~page_rows:8 (Database.relation live "D2"));
-      let sh = Shard.create ~attr:"a" strategy (empty_db ()) ~features ~shards in
+      let sh = Shard.create ~attr:"a" strategy (Star.db ()) ~features:Star.features ~shards in
       let opened = ref [] in
       let keep p =
         opened := p :: !opened;

@@ -12,55 +12,23 @@ open Relational
 module M = Fivm.Maintainer
 module Delta = Fivm.Delta
 module Batch = Aggregates.Batch
-module Spec = Aggregates.Spec
 module A = Serve.Admission
+module Star = Datagen.Star
 
 let int n = Value.Int n
 let flt x = Value.Float x
 
-let empty_db () =
-  Database.create "stream"
-    [
-      Relation.create "F"
-        (Schema.make [ ("a", Value.TInt); ("b", Value.TInt); ("m", Value.TFloat) ]);
-      Relation.create "D1" (Schema.make [ ("a", Value.TInt); ("u", Value.TFloat) ]);
-      Relation.create "D2" (Schema.make [ ("b", Value.TInt); ("v", Value.TFloat) ]);
-    ]
-
-let features = [ "m"; "u"; "v" ]
-
 let strategies =
   [ (M.F_ivm, "fivm"); (M.Higher_order, "higher"); (M.First_order, "first") ]
 
-let lattice_update rng =
-  let value () = float_of_int (1 + Util.Prng.int rng 64) /. 16.0 in
-  let rel = [| "F"; "D1"; "D2" |].(Util.Prng.int rng 3) in
-  let tuple =
-    match rel with
-    | "F" ->
-        [| int (Util.Prng.int rng 4); int (Util.Prng.int rng 4); flt (value ()) |]
-    | _ -> [| int (Util.Prng.int rng 4); flt (value ()) |]
-  in
-  Delta.insert rel tuple
+(* insert-only lattice draws *)
+let lattice_update = Star.insert ~value:Star.lattice
 
 let lattice_stream ~seed ~steps =
   let rng = Util.Prng.create seed in
   List.init steps (fun _ -> lattice_update rng)
 
-let cov_batch = Batch.covariance_numeric features
-let mi_batch = Batch.mutual_information [ "a"; "b" ]
-
-let grouped_batch =
-  {
-    Batch.name = "grouped";
-    aggregates =
-      [
-        Spec.make ~id:"sum_m_by_a" ~terms:[ ("m", 1) ] ~group_by:[ "a" ] ();
-        Spec.count ~id:"n";
-      ];
-  }
-
-let catalog = [| cov_batch; mi_batch; grouped_batch |]
+let catalog = Array.of_list Star.batches
 
 (* bit equality, insensitive to aggregate and row order *)
 let same a b = Oracle.(keyed (canonical a) (canonical b))
@@ -85,7 +53,7 @@ let stale_differential =
     (fun (seed, steps) ->
       List.for_all
         (fun (strategy, sname) ->
-          let srv = Serve.create strategy (empty_db ()) ~features in
+          let srv = Serve.create strategy (Star.db ()) ~features:Star.features in
           Serve.apply_deltas srv (lattice_stream ~seed ~steps);
           (* burst of 1 token, no refill: the second request MUST shed *)
           let cfg =
@@ -157,7 +125,7 @@ let driver_audit =
     ~name:"driver audit: zero wrong bits under overload + transient faults"
     QCheck2.Gen.(int_range 0 1000)
     (fun seed ->
-      let srv = Serve.create M.F_ivm (empty_db ()) ~features in
+      let srv = Serve.create M.F_ivm (Star.db ()) ~features:Star.features in
       Serve.apply_deltas srv (lattice_stream ~seed ~steps:40);
       let spec =
         Traffic.Workload.spec ~seed ~duration:1.0 ~read_rate:400.0
@@ -249,7 +217,7 @@ let workload_deterministic =
 (* ---- coalescing: equivalence and elimination accounting ---- *)
 let test_coalescing () =
   let t1 = [| int 1; flt 0.5 |] and t2 = [| int 2; flt 0.25 |] in
-  let srv = Serve.create M.F_ivm (empty_db ()) ~features in
+  let srv = Serve.create M.F_ivm (Star.db ()) ~features:Star.features in
   Serve.apply_deltas srv (lattice_stream ~seed:3 ~steps:30);
   let adm = A.create (A.config ()) srv in
   (* t1 inserted twice (merges to one update of multiplicity 2), t2
@@ -268,7 +236,7 @@ let test_coalescing () =
   Alcotest.(check int) "three of four updates eliminated" 3 eliminated;
   Alcotest.(check int) "queue drained" 0 (A.pending_updates adm);
   (* equivalence: a server given the pre-coalesced net directly *)
-  let srv2 = Serve.create M.F_ivm (empty_db ()) ~features in
+  let srv2 = Serve.create M.F_ivm (Star.db ()) ~features:Star.features in
   Serve.apply_deltas srv2 (lattice_stream ~seed:3 ~steps:30);
   Serve.apply_deltas srv2 [ Delta.insert "D1" t1; Delta.insert "D1" t1 ];
   Array.iter
@@ -288,7 +256,7 @@ let test_coalescing () =
 
 (* ---- token buckets and backpressure ---- *)
 let test_token_bucket_and_backpressure () =
-  let srv = Serve.create M.F_ivm (empty_db ()) ~features in
+  let srv = Serve.create M.F_ivm (Star.db ()) ~features:Star.features in
   Serve.apply_deltas srv (lattice_stream ~seed:5 ~steps:30);
   let cfg =
     A.config ~tenant_rate:2.0 ~tenant_burst:2.0 ~gate_delay:1.0 ~deadline:10.0
@@ -296,7 +264,7 @@ let test_token_bucket_and_backpressure () =
   in
   let adm = A.create cfg srv in
   let status t arrival =
-    (A.request adm ~tenant:t ~batch:cov_batch ~arrival ~lane_free:arrival)
+    (A.request adm ~tenant:t ~batch:Star.cov_batch ~arrival ~lane_free:arrival)
       .A.status
   in
   let is_fresh = function A.Fresh _ -> true | _ -> false in
@@ -332,7 +300,7 @@ let test_token_bucket_and_backpressure () =
 (* ---- retries: transient faults are retried with backoff, terminal
    exhaustion is a Timeout, and a recovered answer is still bit-exact ---- *)
 let test_retries_under_faults () =
-  let srv = Serve.create M.F_ivm (empty_db ()) ~features in
+  let srv = Serve.create M.F_ivm (Star.db ()) ~features:Star.features in
   Serve.apply_deltas srv (lattice_stream ~seed:9 ~steps:30);
   let mk faults max_retries =
     A.create
@@ -347,7 +315,7 @@ let test_retries_under_faults () =
   let retries = ref 0 in
   for i = 0 to 19 do
     let o =
-      A.request adm ~tenant:"t" ~batch:cov_batch
+      A.request adm ~tenant:"t" ~batch:Star.cov_batch
         ~arrival:(float_of_int i /. 100.0)
         ~lane_free:(float_of_int i /. 100.0)
     in
@@ -357,14 +325,14 @@ let test_retries_under_faults () =
         Alcotest.check bit_exact
           (Printf.sprintf "request %d bit-exact after retries" i)
           (Ok ())
-          (same r (fresh_eval srv cov_batch))
+          (same r (fresh_eval srv Star.cov_batch))
     | _ -> Alcotest.failf "request %d not served fresh" i
   done;
   Alcotest.(check bool) "some retries happened" true (!retries > 0);
   (* certain failure with no retry budget: Timeout, no result, no stale
      masquerading as fresh *)
   let adm = mk (Resilience.Faults.parse ~seed:2 "transient:1.0") 2 in
-  let o = A.request adm ~tenant:"t" ~batch:mi_batch ~arrival:0.0 ~lane_free:0.0 in
+  let o = A.request adm ~tenant:"t" ~batch:Star.mi_batch ~arrival:0.0 ~lane_free:0.0 in
   (match (o.A.status, o.A.result) with
   | A.Timeout, None -> ()
   | _ -> Alcotest.fail "exhausted retries must yield Timeout with no result");
@@ -375,7 +343,7 @@ let test_report_histogram_consistency () =
   Obs.set_enabled true;
   Obs.reset ();
   Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
-  let srv = Serve.create M.F_ivm (empty_db ()) ~features in
+  let srv = Serve.create M.F_ivm (Star.db ()) ~features:Star.features in
   Serve.apply_deltas srv (lattice_stream ~seed:13 ~steps:30);
   let adm =
     A.create

@@ -348,6 +348,19 @@ let test_nested_budget_no_oversubscription () =
   Alcotest.(check int) "tokens released back to the pool" 3
     (Pool.peak_live_domains ())
 
+(* A raising task: its own exception reaches the caller (not a
+   [Fun.Finally_raised] from a join), every worker is joined and the tokens
+   go back to the pool. *)
+let test_raising_task_joins_all () =
+  with_budget 2 @@ fun () ->
+  (match Pool.parallel_tasks ~domains:3 (List.init 3 (fun _ () -> failwith "boom")) with
+  | _ -> Alcotest.fail "no task raised"
+  | exception Failure msg -> Alcotest.(check string) "the task's own exception" "boom" msg);
+  Alcotest.(check int) "all workers joined" 1 (Pool.live_domains ());
+  Pool.reset_peak_live_domains ();
+  ignore (Pool.parallel_tasks ~domains:3 (List.init 3 (fun i () -> i)));
+  Alcotest.(check int) "tokens released back to the pool" 3 (Pool.peak_live_domains ())
+
 (* Zero budget: everything runs inline on the calling domain, results are
    still exact, and nothing is ever spawned. *)
 let test_zero_budget_runs_inline () =
@@ -445,6 +458,8 @@ let () =
             test_domains_of_env;
           Alcotest.test_case "nested calls respect global budget" `Quick
             test_nested_budget_no_oversubscription;
+          Alcotest.test_case "a raising task joins every worker" `Quick
+            test_raising_task_joins_all;
           Alcotest.test_case "zero budget runs inline" `Quick
             test_zero_budget_runs_inline;
         ] );
