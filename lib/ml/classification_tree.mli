@@ -1,21 +1,17 @@
 (** Classification trees from aggregate batches (Section 2.2): per-node
     class-frequency counts (grouped, optionally filtered) score candidate
     splits by Gini impurity or entropy; the data matrix is never
-    materialised during training. *)
+    materialised during training. The grower is {!Cart}'s. A leaf predicts
+    its most frequent class, the smallest by [Value.compare] on a tie. *)
 
 open Relational
-module Spec = Aggregates.Spec
 module Feature = Aggregates.Feature
 
 type criterion = Gini | Entropy
 
-type split = Decision_tree.split =
-  | Threshold of string * float
-  | Category of string * Value.t
-
 type tree =
   | Leaf of { prediction : Value.t; counts : (Value.t * float) list }
-  | Node of { split : split; left : tree; right : tree; count : float }
+  | Node of { split : Cart.split; left : tree; right : tree; count : float }
 
 type params = {
   max_depth : int;
@@ -26,11 +22,12 @@ type params = {
 
 val default_params : params
 
-val impurity : criterion -> float list -> float
-(** Gini / entropy of a class-count distribution. *)
-
 val node_specs :
-  path:Predicate.t -> class_attr:string -> Feature.t -> (string * float list) list -> Spec.t list
+  path:Predicate.t ->
+  class_attr:string ->
+  Feature.t ->
+  (string * float list) list ->
+  Aggregates.Spec.t list
 (** The per-node batch: grouped class counts under the path filter, per
     threshold and per categorical feature. *)
 

@@ -1,12 +1,12 @@
 (** CART regression trees trained from aggregate batches (Section 2.2): one
     batch of filtered variance triples per tree node answers every candidate
-    split; the data matrix is never materialised during training. *)
+    split; the data matrix is never materialised during training. The
+    grower is {!Cart}'s. *)
 
 open Relational
-module Spec = Aggregates.Spec
 module Feature = Aggregates.Feature
 
-type split =
+type split = Cart.split =
   | Threshold of string * float  (** goes left when attr >= threshold *)
   | Category of string * Value.t  (** goes left when attr = value *)
 
@@ -22,18 +22,10 @@ type params = {
 
 val default_params : params
 
-val sse : count:float -> sum:float -> sum2:float -> float
-(** Sum of squared errors around the mean, from a variance triple. *)
-
-type evaluator = Spec.t list -> string -> Spec.result
-(** How a node's batch gets answered (engine or flat scans). *)
-
 val node_specs :
-  path:Predicate.t -> Feature.t -> (string * float list) list -> Spec.t list
+  path:Predicate.t -> Feature.t -> (string * float list) list -> Aggregates.Spec.t list
 (** The per-node batch under a path filter: total triple, per-threshold
     triples, per-categorical grouped triples. *)
-
-val thresholds_of_db : Database.t -> Feature.t -> (string * float list) list
 
 val train :
   ?params:params ->

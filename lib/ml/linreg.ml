@@ -270,21 +270,12 @@ let rmse_on (model : model) (rel : Relation.t) =
     | Some r -> r
     | None -> invalid_arg "Linreg.rmse_on: no response"
   in
-  let schema = Relation.schema rel in
   let n = Relation.cardinality rel in
   if n = 0 then 0.0
   else begin
-    let col_of = Hashtbl.create 16 in
-    List.iter
-      (fun (a : Schema.attr) ->
-        Hashtbl.replace col_of a.name
-          (Relation.column rel (Schema.position schema a.name)))
-      (Schema.attrs schema);
-    let row = ref 0 in
-    let get a = Column.get (Hashtbl.find col_of a) !row in
     let se = ref 0.0 in
     for i = 0 to n - 1 do
-      row := i;
+      let get = Relation.value_at rel i in
       let err = predict model get -. Value.to_float (get response) in
       se := !se +. (err *. err)
     done;

@@ -12,11 +12,6 @@ open Util
 
 type monomial = Monomial.t
 
-let basis = Monomial.basis
-let monomial_name = Monomial.name
-let mono_mul = Monomial.mul
-let batch_for = Monomial.batch_for
-
 type model = {
   basis_monomials : monomial list;
   weights : Vec.t;
@@ -60,30 +55,19 @@ let train_from_monomial_moments ?(ridge = 1e-2) (m : Moment.t) : model =
   in
   { basis_monomials; weights = Mat.solve_spd a rhs; response }
 
-let eval_monomial (m : monomial) (get : string -> float) = Monomial.eval m get
-
 let predict (model : model) (get : string -> float) =
   List.fold_left
-    (fun (acc, i) m -> (acc +. (model.weights.(i) *. eval_monomial m get), i + 1))
+    (fun (acc, i) m -> (acc +. (model.weights.(i) *. Monomial.eval m get), i + 1))
     (0.0, 0) model.basis_monomials
   |> fst
 
 let rmse_on (model : model) (rel : Relation.t) =
-  let schema = Relation.schema rel in
   let n = Relation.cardinality rel in
   if n = 0 then 0.0
   else begin
-    let col_of = Hashtbl.create 16 in
-    List.iter
-      (fun (a : Schema.attr) ->
-        Hashtbl.replace col_of a.name
-          (Relation.column rel (Schema.position schema a.name)))
-      (Schema.attrs schema);
-    let row = ref 0 in
-    let get a = Column.float_at (Hashtbl.find col_of a) !row in
     let se = ref 0.0 in
     for i = 0 to n - 1 do
-      row := i;
+      let get a = Value.to_float (Relation.value_at rel i a) in
       let err = predict model get -. get model.response in
       se := !se +. (err *. err)
     done;

@@ -8,16 +8,6 @@ open Relational
 type monomial = Monomial.t
 (** Sorted (attribute, power) products; [] is the constant 1. *)
 
-val basis : string list -> monomial list
-(** All monomials of total degree <= 2 over the features. *)
-
-val monomial_name : monomial -> string
-val mono_mul : monomial -> monomial -> monomial
-
-val batch_for : string list -> response:string -> Aggregates.Batch.t * monomial list
-(** The deduplicated aggregate batch covering every basis-pair product and
-    basis-response product. *)
-
 type model = { basis_monomials : monomial list; weights : Util.Vec.t; response : string }
 
 val train_from_monomial_moments : ?ridge:float -> Moment.t -> model

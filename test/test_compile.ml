@@ -345,8 +345,9 @@ let fingerprint_collision () =
 (* Every node batch of a trained tree through both engines. A node's path
    is its ancestors' split predicates, conjoined the way the trainers
    conjoin them, so walking the tree rebuilds exactly the batches training
-   evaluated (leaves included). *)
-let node_paths (children : 't -> (Ml.Decision_tree.split * 't * 't) option) tree =
+   evaluated (leaves included). [children] gives a node's split, count and
+   subtrees. *)
+let node_paths (children : 't -> (Ml.Decision_tree.split * float * 't * 't) option) tree =
   let extend path p =
     match path with Predicate.True -> p | _ -> Predicate.And (path, p)
   in
@@ -354,7 +355,7 @@ let node_paths (children : 't -> (Ml.Decision_tree.split * 't * 't) option) tree
     let acc = path :: acc in
     match children t with
     | None -> acc
-    | Some (split, l, r) ->
+    | Some (split, _, l, r) ->
         let pl, pr =
           match split with
           | Ml.Decision_tree.Threshold (x, c) ->
@@ -364,6 +365,55 @@ let node_paths (children : 't -> (Ml.Decision_tree.split * 't * 't) option) tree
         walk (extend path pr) r (walk (extend path pl) l acc)
   in
   List.rev (walk Predicate.True tree [])
+
+let regression_children = function
+  | Ml.Decision_tree.Leaf _ -> None
+  | Node { split; left; right; count } -> Some (split, count, left, right)
+
+let class_children = function
+  | Ml.Classification_tree.Leaf _ -> None
+  | Node { split; left; right; count } -> Some (split, count, left, right)
+
+(* The CRC-32 of a tree's bit image: floats in hex, values through
+   [Value.to_string], [leaf] writes a leaf. *)
+let tree_digest children leaf tree =
+  let b = Buffer.create 1024 in
+  let rec image t =
+    match children t with
+    | None -> leaf b t
+    | Some (split, count, l, r) ->
+        (match split with
+        | Ml.Decision_tree.Threshold (x, c) -> Printf.bprintf b "NT%s%h" x c
+        | Category (k, v) -> Printf.bprintf b "NC%s%s" k (Value.to_string v));
+        Printf.bprintf b ",%h(" count;
+        image l;
+        image r;
+        Buffer.add_char b ')'
+  in
+  image tree;
+  Printf.sprintf "%08x" (Util.Checksum.crc32 (Buffer.contents b))
+
+let regression_digest =
+  tree_digest regression_children (fun b -> function
+    | Ml.Decision_tree.Leaf { prediction; count } -> Printf.bprintf b "L%h,%h;" prediction count
+    | Node _ -> ())
+
+let class_digest =
+  tree_digest class_children (fun b -> function
+    | Ml.Classification_tree.Leaf { prediction; counts } ->
+        Printf.bprintf b "L%s[" (Value.to_string prediction);
+        List.iter (fun (v, c) -> Printf.bprintf b "%s:%h," (Value.to_string v) c) counts;
+        Buffer.add_char b ']'
+    | Node _ -> ())
+
+(* digests of the depth-3 regression, Gini and entropy trees *)
+let tree_digests =
+  [
+    ("retailer", ("d223c03d", "e8ca913f", "e8ca913f"));
+    ("favorita", ("29a35743", "f44423be", "89f62654"));
+    ("yelp", ("09cb9283", "3b3995c0", "3b3995c0"));
+    ("tpcds", ("05b672dc", "3429ae48", "3429ae48"));
+  ]
 
 let datagen_sets () =
   [
@@ -384,19 +434,13 @@ let check_nodes name db specs_of paths =
 let tree_node_batches () =
   List.iter
     (fun (name, db, (f : Feature.t)) ->
-      let thresholds = Ml.Decision_tree.thresholds_of_db db f in
+      let thresholds = Ml.Cart.thresholds_of_db db f in
       let tree =
         Ml.Decision_tree.train
           ~params:{ Ml.Decision_tree.default_params with max_depth = 3 }
           db f
       in
-      let paths =
-        node_paths
-          (function
-            | Ml.Decision_tree.Leaf _ -> None
-            | Node { split; left; right; _ } -> Some (split, left, right))
-          tree
-      in
+      let paths = node_paths regression_children tree in
       Alcotest.(check int) (name ^ " one batch per node")
         (Ml.Decision_tree.size tree) (List.length paths);
       Alcotest.(check bool) (name ^ " tree splits") true (List.length paths > 1);
@@ -409,18 +453,16 @@ let tree_node_batches () =
         Feature.make ~thresholds_per_feature:f.thresholds_per_feature
           ~continuous:f.continuous ~categorical:(List.tl f.categorical) ()
       in
-      let ctree =
+      let ctree criterion =
         Ml.Classification_tree.train
-          ~params:{ Ml.Classification_tree.default_params with max_depth = 3 }
+          ~params:{ Ml.Classification_tree.default_params with max_depth = 3; criterion }
           db ~class_attr cf
       in
-      let cpaths =
-        node_paths
-          (function
-            | Ml.Classification_tree.Leaf _ -> None
-            | Node { split; left; right; _ } -> Some (split, left, right))
-          ctree
-      in
+      let ctree = ctree Gini and etree = ctree Entropy in
+      Alcotest.(check (triple string string string)) (name ^ " tree digests")
+        (List.assoc name tree_digests)
+        (regression_digest tree, class_digest ctree, class_digest etree);
+      let cpaths = node_paths class_children ctree in
       Alcotest.(check int) (name ^ " one class batch per node")
         (Ml.Classification_tree.size ctree) (List.length cpaths);
       check_nodes (name ^ " classification") db

@@ -119,7 +119,7 @@ let test_bucketed_tree_training_agrees () =
   let params = { Ml.Decision_tree.default_params with max_depth = 2 } in
   let t_db = Ml.Decision_tree.train ~params db features in
   let join = Database.materialise_join db in
-  let thresholds = Ml.Decision_tree.thresholds_of_db db features in
+  let thresholds = Ml.Cart.thresholds_of_db db features in
   let t_flat = Ml.Decision_tree.train_flat ~params join features ~thresholds in
   let schema = Relation.schema join in
   Relation.iter

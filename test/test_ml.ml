@@ -134,7 +134,7 @@ let test_ridge_shrinks () =
 let test_tree_db_equals_flat () =
   let db = planted_db ~seed:5 ~noise:0.3 () in
   let f = planted_features in
-  let thresholds = Ml.Decision_tree.thresholds_of_db db f in
+  let thresholds = Ml.Cart.thresholds_of_db db f in
   let params = { Ml.Decision_tree.default_params with max_depth = 3 } in
   let t_db = Ml.Decision_tree.train ~params db f in
   let join = Database.materialise_join db in
@@ -454,7 +454,7 @@ let test_classification_db_equals_flat () =
     Ml.Classification_tree.train ~params db ~class_attr:"label" cls_features
   in
   let join = Database.materialise_join db in
-  let thresholds = Ml.Decision_tree.thresholds_of_db db cls_features in
+  let thresholds = Ml.Cart.thresholds_of_db db cls_features in
   let t_flat =
     Ml.Classification_tree.train_flat ~params join ~class_attr:"label" cls_features
       ~thresholds
@@ -470,6 +470,24 @@ let test_classification_db_equals_flat () =
              (Ml.Classification_tree.predict t_flat get))
       then Alcotest.fail "classification predictions diverge")
     join
+
+(* A tied class count at a leaf predicts the smallest class, whichever
+   engine answered the node batch. *)
+let test_classification_tie_smallest_class () =
+  let f = Relation.create "F" (Schema.make [ ("m", Value.TFloat); ("label", Value.TInt) ]) in
+  Relation.append f [| flt 0.25; int 0 |];
+  Relation.append f [| flt 0.75; int 1 |];
+  let db = Database.create "tie" [ f ] in
+  let features = Feature.make ~thresholds_per_feature:1 ~continuous:[ "m" ] ~categorical:[] () in
+  let thresholds = Ml.Cart.thresholds_of_db db features in
+  List.iter
+    (fun (name, t) ->
+      Alcotest.(check string) (name ^ " predicts the smallest tied class") "0"
+        (Value.to_string (Ml.Classification_tree.predict t (fun _ -> flt 0.5))))
+    [
+      ("db", Ml.Classification_tree.train db ~class_attr:"label" features);
+      ("flat", Ml.Classification_tree.train_flat f ~class_attr:"label" features ~thresholds);
+    ]
 
 let test_entropy_criterion_works () =
   let db = classification_db ~seed:23 ~noise:0.0 in
@@ -753,6 +771,8 @@ let () =
           Alcotest.test_case "learns planted rule" `Quick test_classification_tree_learns;
           Alcotest.test_case "db-trained = flat-trained" `Quick
             test_classification_db_equals_flat;
+          Alcotest.test_case "tied counts predict the smallest class" `Quick
+            test_classification_tie_smallest_class;
           Alcotest.test_case "entropy criterion" `Quick test_entropy_criterion_works;
         ] );
       ( "qr",
