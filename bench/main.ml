@@ -293,9 +293,10 @@ let fig4right () =
 
 (* ----------------------------------------------------------------- fig5 *)
 
-(* Figure 5: number of aggregates per batch. *)
+(* Figure 5: number of aggregates per batch, and the time the decision-tree
+   batches take. *)
 let fig5 () =
-  header "Figure 5: aggregate batch sizes"
+  header "Figure 5: aggregate batch sizes, decision-tree timings"
     "covar 937/157/730/3299, node 3150/273/1392/4299, MI 56/106/172/254, k-means 44/19/38/92";
   let ds = datasets ~s:(Stdlib.min scale 0.3) () in
   Printf.printf "%-16s" "workload";
@@ -312,7 +313,40 @@ let fig5 () =
       Aggregates.Batch.size (Aggregates.Batch.decision_node d.features));
   row "Mutual inf." (fun d ->
       Aggregates.Batch.size (Aggregates.Batch.mutual_information d.mi_attrs));
-  row "k-means" (fun d -> Aggregates.Batch.size (Aggregates.Batch.kmeans d.features))
+  row "k-means" (fun d -> Aggregates.Batch.size (Aggregates.Batch.kmeans d.features));
+  (* Timings of the decision-tree regime: the node batch on the interpreter
+     and on the compiled tier, and one depth-2 regression tree fit. Each is
+     the minimum of [repeats] runs. Compiling the node plan is its own row
+     and is not in "node run"; the tree's repeats after the first find its
+     plans in the cache. *)
+  let repeats = 3 in
+  let fastest f =
+    List.fold_left Float.min infinity
+      (List.init repeats (fun _ -> Util.Timing.time_only f))
+  in
+  let timed name tag seconds =
+    Printf.printf "%-16s" name;
+    List.iter
+      (fun d ->
+        let t = seconds d in
+        Printf.printf " %10s" (Util.Timing.to_string t);
+        record ~entry:"fig5" ~engine:(tag ^ "-" ^ d.dname) t)
+      ds;
+    Printf.printf "\n%!"
+  in
+  let node d = Aggregates.Batch.decision_node ~db:d.db d.features in
+  timed "node interp." "node-interp" (fun d ->
+      let batch = node d in
+      fastest (fun () -> Lmfao.Engine.eval_batch d.db batch));
+  timed "node compile" "node-compile" (fun d ->
+      let batch = node d in
+      fastest (fun () -> Compile.Engine.compile d.db batch));
+  timed "node run" "node-run" (fun d ->
+      let plan = Compile.Engine.compile d.db (node d) in
+      fastest (fun () -> Compile.Engine.run plan d.db));
+  let params = { Ml.Decision_tree.default_params with max_depth = 2 } in
+  timed "depth-2 tree" "tree-depth2" (fun d ->
+      fastest (fun () -> Ml.Decision_tree.train ~params d.db d.features))
 
 (* ----------------------------------------------------------------- fig6 *)
 

@@ -1,14 +1,16 @@
-(* Stage 3: closure-compile a physical IR plan against a live database and
-   run it.
+(* Stage 3: bind a physical IR plan to a live database and run it.
 
-   Binding happens once per node per execution: relations are resolved by
-   name, column readers are specialised to the live [Column.data]
-   representation ([float array]/[int array] accessors, no variant
-   dispatch per row), key extractors are compiled, filters are compiled to
-   position-resolved closures, and each slot becomes one kernel closure
-   with its payload offset and child payload indexes pre-resolved and its
-   term product unrolled for small arities. The scan loop then runs with
-   zero per-row dispatch beyond the kernel calls themselves.
+   Binding happens once per node per execution. Relations are resolved by
+   name, key extractors and filters are compiled against the live columns,
+   and the node's slots become one flat slot program: per slot, int arrays
+   give its term registers and powers, its child factors (child index and
+   that child's payload index), its payload index and its filter. Each
+   chunk binds a register file, a [float array] with one register per
+   column any term reads, loaded once per row by matching on
+   [Column.data]. One loop then runs every slot of the row against the
+   registers with an unboxed local accumulator, so a scalar slot costs no
+   allocation and no closure call; grouped slots compute their product the
+   same way and hand it to [accumulate_grouped].
 
    BIT-IDENTITY CONTRACT: this executor must produce results bitwise
    equal to [Lmfao.Engine] on the same logical plan. Float operations
@@ -190,16 +192,7 @@ let merge_views (a : view) (b : view) : view =
     b;
   a
 
-(* ---------- monomorphic column readers ---------- *)
-
-(* Reader specialised to the live representation. Indexes stay within the
-   relation's cardinality, which the column capacity bounds, so the
-   unsafe reads are in range. Semantics are [Column.float_at]. *)
-let reader (cols : Column.t array) pos : int -> float =
-  match Column.data cols.(pos) with
-  | Column.Floats a -> fun i -> Array.unsafe_get a i
-  | Column.Ints a -> fun i -> float_of_int (Array.unsafe_get a i)
-  | Column.Boxed a -> fun i -> Value.to_float (Array.unsafe_get a i)
+(* ---------- representation checks ---------- *)
 
 let live_rep (cols : Column.t array) pos : Ir.rep =
   match Column.data cols.(pos) with
@@ -264,32 +257,6 @@ let compile_filters cols = function
   | fs ->
       let compiled = List.map (compile_filter cols) fs in
       fun i -> List.for_all (fun f -> f i) compiled
-
-(* ---------- term products ---------- *)
-
-(* Left-associated product starting from 1.0, unrolled for the common
-   arities. The op sequence is exactly the interpreter's
-   [local := 1.0; local := !local *. x; ...] chain. *)
-let build_product (terms : ((int -> float) * int) array) : int -> float =
-  match terms with
-  | [||] -> fun _ -> 1.0
-  | [| (r, 1) |] -> fun i -> 1.0 *. r i
-  | [| (r, 2) |] ->
-      fun i ->
-        let x = r i in
-        1.0 *. x *. x
-  | [| (r1, 1); (r2, 1) |] -> fun i -> 1.0 *. r1 i *. r2 i
-  | terms ->
-      fun i ->
-        let local = ref 1.0 in
-        Array.iter
-          (fun (r, power) ->
-            let x = r i in
-            for _ = 1 to power do
-              local := !local *. x
-            done)
-          terms;
-        !local
 
 (* ---------- grouped accumulation (generic path) ---------- *)
 
@@ -372,6 +339,66 @@ let count_fallbacks (node : Ir.node) cols =
         s.Ir.s_terms)
     node.Ir.n_slots
 
+(* The slots of a node as one flat program, in slot order. Slot [k]
+   multiplies registers [t_reg] raised to [t_pow] over [t_off.(k)] ..
+   [t_off.(k + 1) - 1]; a scalar slot then multiplies child scalars, the
+   payload scalar [c_idx] of child [c_child], over [c_off.(k)] ..
+   [c_off.(k + 1) - 1]. [p_idx.(k)] is the slot's payload index and
+   [filtered.(k)] says whether it has a residual filter. Register [r] holds
+   the column at position [regs.(r)]. Only positions live here; the columns
+   themselves are bound per chunk. *)
+type program = {
+  regs : int array;
+  t_off : int array;
+  t_reg : int array;
+  t_pow : int array;
+  c_off : int array;
+  c_child : int array;
+  c_idx : int array;
+  p_idx : int array;
+  scalar : bool array;
+  filtered : bool array;
+}
+
+let program (slots : Ir.slot array) (payload : (int * bool) array)
+    (child_refs : (int * bool) array array) : program =
+  let terms = Array.map (fun (s : Ir.slot) -> s.Ir.s_terms) slots in
+  let regs =
+    Array.of_list
+      (List.sort_uniq compare
+         (List.concat_map
+            (fun ts -> List.map (fun (t : Ir.term) -> t.Ir.t_pos) (Array.to_list ts))
+            (Array.to_list terms)))
+  in
+  let rec reg_of pos r = if regs.(r) = pos then r else reg_of pos (r + 1) in
+  (* only scalar slots multiply child scalars in the loop; grouped slots
+     hand their children to [accumulate_grouped] *)
+  let factors =
+    Array.mapi
+      (fun k (s : Ir.slot) ->
+        if s.Ir.s_scalar then Array.mapi (fun c (idx, _) -> (c, idx)) child_refs.(k)
+        else [||])
+      slots
+  in
+  let offsets rows =
+    let off = Array.make (Array.length rows + 1) 0 in
+    Array.iteri (fun k row -> off.(k + 1) <- off.(k) + Array.length row) rows;
+    off
+  in
+  let flat f rows = Array.concat (Array.to_list (Array.map (Array.map f) rows)) in
+  {
+    regs;
+    t_off = offsets terms;
+    t_reg = flat (fun (t : Ir.term) -> reg_of t.Ir.t_pos 0) terms;
+    t_pow = flat (fun (t : Ir.term) -> t.Ir.t_power) terms;
+    c_off = offsets factors;
+    c_child = flat fst factors;
+    c_idx = flat snd factors;
+    p_idx = Array.map fst payload;
+    scalar = Array.map snd payload;
+    filtered = Array.map (fun (s : Ir.slot) -> s.Ir.s_filters <> []) slots;
+  }
+
 let rec compute ~(options : options) (db : Database.t) (node : Ir.node) :
     view * (int * bool) array =
   Obs.with_span ("lmfao.compile.view:" ^ node.Ir.n_rel) (fun () ->
@@ -393,7 +420,7 @@ and compute_node ~options db (node : Ir.node) : view * (int * bool) array =
   let n_children = Array.length child_views in
   let n_slots = Array.length node.Ir.n_slots in
   let payload, payload_scalars, payload_grouped = payload_map node.Ir.n_slots in
-  (* per slot: the child payload indexes its kernel multiplies/merges *)
+  (* per slot: the child payload indexes it multiplies or merges *)
   let child_refs =
     Array.map
       (fun (s : Ir.slot) ->
@@ -401,14 +428,14 @@ and compute_node ~options db (node : Ir.node) : view * (int * bool) array =
       node.Ir.n_slots
   in
   count_fallbacks node (Relation.columns rel);
-  let nh = Array.length node.Ir.n_hoisted in
+  let prog = program node.Ir.n_slots payload child_refs in
+  let n_regs = Array.length prog.regs in
   (* [scan_into] is invoked once per chunk — a parallel slice of the
-     resident relation, or one streamed page chunk. Everything
-     representation-dependent (column readers, key extractors, filters,
-     kernels, the hoist buffer) is specialised inside against THIS
-     relation's live columns, so concurrent chunks never share mutable
-     state and streamed chunks bind to their own pages. Construction is
-     O(slots), amortised over a chunk of rows. *)
+     resident relation, or one streamed page chunk. Everything bound to
+     columns (register sources, key extractors, filters) and the register
+     file itself are made inside against THIS relation's live columns, so
+     concurrent chunks never share mutable state and streamed chunks bind
+     to their own pages. Binding is O(slots), amortised over a chunk. *)
   let scan_into rel view lo len =
     Obs.add c_tuples len;
     ignore (Relation.scan rel);
@@ -419,61 +446,14 @@ and compute_node ~options db (node : Ir.node) : view * (int * bool) array =
         (fun (k : Ir.key_shape) -> Relation.extractor rel k.Ir.k_positions)
         node.Ir.n_child_keys
     in
-    let buf = Array.make (max nh 1) 0.0 in
-    let hload =
-      Array.map (fun pos -> reader cols pos) node.Ir.n_hoisted
-    in
-    let slot_reader pos =
-      (* hoisted positions read the per-row buffer *)
-      let rec idx k =
-        if k >= nh then -1
-        else if node.Ir.n_hoisted.(k) = pos then k
-        else idx (k + 1)
-      in
-      match idx 0 with
-      | -1 -> reader cols pos
-      | k -> fun _ -> Array.unsafe_get buf k
-    in
     let scan_ok = compile_filters cols node.Ir.n_scan_filters in
-    let kernels =
-      Array.mapi
-        (fun s_idx (s : Ir.slot) ->
-          let filt = compile_filters cols s.Ir.s_filters in
-          let no_filter = s.Ir.s_filters = [] in
-          let product =
-            build_product
-              (Array.map
-                 (fun (t : Ir.term) -> (slot_reader t.Ir.t_pos, t.Ir.t_power))
-                 s.Ir.s_terms)
-          in
-          let p_idx, _ = payload.(s_idx) in
-          let refs = child_refs.(s_idx) in
-          if s.Ir.s_scalar then (
-            match Array.length refs with
-            | 0 when no_filter ->
-                fun i _child_rows (acc : row) ->
-                  acc.sc.(p_idx) <- acc.sc.(p_idx) +. product i
-            | 0 ->
-                fun i _child_rows (acc : row) ->
-                  if filt i then acc.sc.(p_idx) <- acc.sc.(p_idx) +. product i
-            | nrefs ->
-                fun i child_rows (acc : row) ->
-                  if filt i then begin
-                    let local = ref (product i) in
-                    for c = 0 to nrefs - 1 do
-                      let idx, _ = Array.unsafe_get refs c in
-                      local :=
-                        !local *. (Array.unsafe_get child_rows c).sc.(idx)
-                    done;
-                    acc.sc.(p_idx) <- acc.sc.(p_idx) +. !local
-                  end)
-          else
-            fun i child_rows (acc : row) ->
-              if filt i then
-                accumulate_grouped s.Ir.s_groups refs cols i (product i)
-                  child_rows
-                  acc.gr.(p_idx))
-        node.Ir.n_slots
+    let filters =
+      Array.map (fun (s : Ir.slot) -> compile_filters cols s.Ir.s_filters) node.Ir.n_slots
+    in
+    let src = Array.map (fun pos -> Column.data cols.(pos)) prog.regs in
+    let reg = Array.make n_regs 0.0 in
+    let { t_off; t_reg; t_pow; c_off; c_child; c_idx; p_idx; scalar; filtered; _ } =
+      prog
     in
     let child_rows = Array.make n_children { sc = [||]; gr = [||] } in
     for i = lo to lo + len - 1 do
@@ -508,11 +488,41 @@ and compute_node ~options db (node : Ir.node) : view * (int * bool) array =
               r
         in
         if scan_ok i then begin
-          for k = 0 to nh - 1 do
-            Array.unsafe_set buf k ((Array.unsafe_get hload k) i)
+          (* load the register file; semantics are [Column.float_at]. Rows
+             stay within the cardinality, which the column capacity bounds,
+             so the unsafe reads are in range *)
+          for r = 0 to n_regs - 1 do
+            Array.unsafe_set reg r
+              (match Array.unsafe_get src r with
+              | Column.Floats a -> Array.unsafe_get a i
+              | Column.Ints a -> float_of_int (Array.unsafe_get a i)
+              | Column.Boxed a -> Value.to_float (Array.unsafe_get a i))
           done;
-          for s = 0 to n_slots - 1 do
-            (Array.unsafe_get kernels s) i child_rows acc_row
+          for k = 0 to n_slots - 1 do
+            if
+              (not (Array.unsafe_get filtered k)) || (Array.unsafe_get filters k) i
+            then begin
+              let local = ref 1.0 in
+              for t = Array.unsafe_get t_off k to Array.unsafe_get t_off (k + 1) - 1 do
+                let x = Array.unsafe_get reg (Array.unsafe_get t_reg t) in
+                for _ = 1 to Array.unsafe_get t_pow t do
+                  local := !local *. x
+                done
+              done;
+              let p = Array.unsafe_get p_idx k in
+              if Array.unsafe_get scalar k then begin
+                for c = Array.unsafe_get c_off k to Array.unsafe_get c_off (k + 1) - 1 do
+                  local :=
+                    !local
+                    *. (Array.unsafe_get child_rows (Array.unsafe_get c_child c)).sc.(
+                       Array.unsafe_get c_idx c)
+                done;
+                acc_row.sc.(p) <- acc_row.sc.(p) +. !local
+              end
+              else
+                accumulate_grouped node.Ir.n_slots.(k).Ir.s_groups child_refs.(k) cols i
+                  !local child_rows acc_row.gr.(p)
+            end
           done
         end
       end

@@ -1,6 +1,6 @@
-(** Stage 3: closure-compile a physical IR plan against a live database
-    and run it — monomorphic column readers, pre-resolved payload offsets,
-    unrolled small-arity products, zero variant dispatch in the scan loop.
+(** Stage 3: bind a physical IR plan to a live database and run it — a
+    per-chunk register file of the columns the terms read, loaded once per
+    row, and a flat slot program run by one allocation-free loop.
     Results are BITWISE equal to {!Lmfao.Engine} on the same logical plan
     (the differential qcheck suite enforces this). *)
 
@@ -13,8 +13,8 @@ type options = Lmfao.Engine.options
 
 val compute_rooted :
   options:options -> Database.t -> Ir.rooted -> (string * Spec.result) list
-(** Execute one rooted plan: bind (specialise readers, filters, kernels to
-    the live column representations — drift is counted in
+(** Execute one rooted plan: bind (registers, filters and key extractors
+    to the live column representations — drift is counted in
     [lmfao.compile.fallbacks]), scan, and extract each output aggregate
     from its root slot. Runs under [lmfao.compile.root:*] /
     [lmfao.compile.view:*] spans and counts

@@ -55,7 +55,6 @@ type node = {
   n_key : key_shape;
   n_child_keys : key_shape array;
   n_scan_filters : filter list; (* conjuncts common to EVERY slot, hoisted *)
-  n_hoisted : int array; (* columns preloaded once per row (>= 2 readers) *)
   n_slots : slot array;
   n_children : node array;
 }
@@ -150,17 +149,8 @@ let rec node_lines indent (n : node) =
     | [] -> ""
     | fs -> " where " ^ String.concat " && " (List.map filter_to_string fs)
   in
-  let hoisted =
-    match n.n_hoisted with
-    | [||] -> ""
-    | h ->
-        " hoist ["
-        ^ String.concat ","
-            (Array.to_list (Array.map (Printf.sprintf "c%d") h))
-        ^ "]"
-  in
-  (Printf.sprintf "%sscan %s key %s%s%s" pad n.n_rel (key_to_string n.n_key)
-     scan_filters hoisted
+  (Printf.sprintf "%sscan %s key %s%s" pad n.n_rel (key_to_string n.n_key)
+     scan_filters
   :: Array.to_list
        (Array.mapi
           (fun i s -> Printf.sprintf "%s  s%d: %s" pad i (slot_to_string s))

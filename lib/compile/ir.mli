@@ -44,7 +44,6 @@ type node = {
   n_child_keys : key_shape array;
   n_scan_filters : filter list;
       (** conjuncts common to EVERY slot, hoisted to the scan *)
-  n_hoisted : int array;  (** columns preloaded once per row *)
   n_slots : slot array;
   n_children : node array;
 }

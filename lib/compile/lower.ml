@@ -3,7 +3,7 @@
    Lowering is a mechanical translation — every decision with a
    cost-model flavour (root choice, restriction, ownership) has already
    been made by the planner, and every optimisation on the physical form
-   (filter fusion, slot merging, dead-slot elimination, load hoisting)
+   (filter fusion, slot merging, dead-slot elimination)
    belongs to [Passes]. The one convention worth noting: the compiler
    lowers UNSHARED plans (one slot per requested aggregate) and lets the
    structural merge pass rediscover sharing on the physical form, so the
@@ -62,7 +62,6 @@ let rec node (p : Plan.node) : Ir.node =
     n_key = key_shape cols p.Plan.key_positions;
     n_child_keys = Array.map (key_shape cols) p.Plan.child_keys;
     n_scan_filters = [];
-    n_hoisted = [||];
     n_slots = Array.map (slot schema cols) p.Plan.slots;
     n_children = Array.of_list (List.map node p.Plan.children);
   }

@@ -1,6 +1,6 @@
 (** Stage 1: mechanical lowering of a logical {!Lmfao.Plan} into the typed
     physical IR. No optimisation happens here — filter fusion, slot
-    merging, dead-slot elimination and load hoisting are {!Passes}. *)
+    merging and dead-slot elimination are {!Passes}. *)
 
 open Relational
 

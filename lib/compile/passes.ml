@@ -6,26 +6,22 @@
    reuse the transformation vocabulary of [Ifaq.Rewrite] on the physical
    form: [fuse_filters] is predicate fusion (push_into_sums / factor_out
    applied to guards), [merge_slots] is sharing as structural memoisation
-   (memoise_and_hoist), [dead_slots] is liveness-based elimination, and
-   [hoist_loads] is loop-invariant code motion for column reads.
+   (memoise_and_hoist), and [dead_slots] is liveness-based elimination.
 
    Bitwise preservation constrains what a pass may do:
 
    - [fuse_filters] may hoist a conjunct to the scan level only when EVERY
-     slot tests it, and the hoisted test guards the slot kernels ONLY —
+     slot tests it, and the hoisted test guards the slot program ONLY —
      never the view insertion. The interpreter inserts a row's join key
      into the view BEFORE evaluating any slot filter, so an all-filters-
      false row still creates a zero row; the compiled scan must too.
    - [merge_slots] keeps the FIRST occurrence of each structure, so slot
      order — and with it payload order and float accumulation order — is
-     exactly the order the interpreter's canonical-string dedup produces.
-   - [hoist_loads] only moves column reads, never arithmetic: a hoisted
-     value is the same float the term product would have read. *)
+     exactly the order the interpreter's canonical-string dedup produces. *)
 
 let c_fused = Obs.counter "lmfao.compile.filters_fused"
 let c_merged = Obs.counter "lmfao.compile.slots_merged"
 let c_dead = Obs.counter "lmfao.compile.dead_slots"
-let c_hoisted = Obs.counter "lmfao.compile.hoisted_loads"
 
 let remap_outputs remap (r : Ir.rooted) node =
   {
@@ -39,7 +35,7 @@ let remap_outputs remap (r : Ir.rooted) node =
 (* Hoist filter conjuncts shared by EVERY slot of a node into the node's
    scan filter, so they are tested once per row instead of once per slot.
    Purely common-subexpression elimination: the scan filter gates the slot
-   kernels, not the key insertion (see the bitwise note above). *)
+   program, not the key insertion (see the bitwise note above). *)
 let fuse_filters (r : Ir.rooted) : Ir.rooted =
   let rec go (node : Ir.node) : Ir.node =
     let node = { node with Ir.n_children = Array.map go node.Ir.n_children } in
@@ -170,36 +166,6 @@ let dead_slots (r : Ir.rooted) : Ir.rooted =
   let node, remap = go r.Ir.r_node root_live in
   remap_outputs remap r node
 
-(* ---------- loop-invariant load hoisting ---------- *)
-
-(* Mark columns whose value at least two slot kernels read, so the
-   executor loads them once per row into an unboxed buffer instead of
-   re-dispatching per kernel. Only reads move; arithmetic stays in the
-   kernels, so accumulation order is untouched. *)
-let hoist_loads (r : Ir.rooted) : Ir.rooted =
-  let rec go (node : Ir.node) : Ir.node =
-    let uses = Hashtbl.create 8 in
-    Array.iter
-      (fun (s : Ir.slot) ->
-        Array.iter
-          (fun (t : Ir.term) ->
-            Hashtbl.replace uses t.Ir.t_pos
-              (1 + Option.value ~default:0 (Hashtbl.find_opt uses t.Ir.t_pos)))
-          s.Ir.s_terms)
-      node.Ir.n_slots;
-    let hoisted =
-      Hashtbl.fold (fun pos n acc -> if n >= 2 then pos :: acc else acc) uses []
-    in
-    let hoisted = Array.of_list (List.sort compare hoisted) in
-    Obs.add c_hoisted (Array.length hoisted);
-    {
-      node with
-      Ir.n_hoisted = hoisted;
-      n_children = Array.map go node.Ir.n_children;
-    }
-  in
-  { r with Ir.r_node = go r.Ir.r_node }
-
 (* ---------- the pipeline ---------- *)
 
 let all ~share =
@@ -207,7 +173,6 @@ let all ~share =
     ("fuse-filters", fuse_filters);
     ("merge-slots", if share then merge_slots else fun r -> r);
     ("dead-slots", dead_slots);
-    ("hoist-loads", hoist_loads);
   ]
 
 let pipeline ?(share = true) (r : Ir.rooted) : Ir.rooted =

@@ -69,12 +69,22 @@ let children = function
   | Threshold (x, c) -> (Predicate.Ge (x, Value.Float c), Predicate.Lt (x, Value.Float c))
   | Category (k, v) -> (Predicate.Eq (k, v), Predicate.Not (Predicate.Eq (k, v)))
 
+let c_node_aggregates = Obs.counter "ml.cart.node_aggregates"
+
+(* A node at [max_depth] is a leaf whatever its statistics, so it reads only
+   its total side; every other node requests the full split batch. *)
 let rec grow kind ~max_depth ~min_samples ~min_gain ~evaluate ~path (f : Feature.t)
     thresholds depth =
-  let lookup = evaluate (node_specs kind ~path f thresholds) in
+  let at_max = depth >= max_depth in
+  let specs =
+    if at_max then kind.side ~id:"total" ~filter:path ~group_by:[]
+    else node_specs kind ~path f thresholds
+  in
+  Obs.add c_node_aggregates (List.length specs);
+  let lookup = evaluate specs in
   let node = kind.read None lookup "total" in
   let n = kind.count node in
-  if depth >= max_depth || n < min_samples || not (kind.splittable node) then
+  if at_max || n < min_samples || not (kind.splittable node) then
     kind.leaf node
   else begin
     let gain = kind.gain node in
@@ -128,9 +138,12 @@ let train kind ~max_depth ~min_samples ~min_gain (db : Database.t) (f : Feature.
 let train_flat kind ~max_depth ~min_samples ~min_gain (join : Relation.t)
     (f : Feature.t) ~thresholds =
   let evaluate specs =
-    let results = List.map (fun spec -> (spec.Spec.id, Spec.eval_flat join spec)) specs in
+    let results = Hashtbl.create (List.length specs) in
+    List.iter
+      (fun spec -> Hashtbl.replace results spec.Spec.id (Spec.eval_flat join spec))
+      specs;
     fun id ->
-      match List.assoc_opt id results with
+      match Hashtbl.find_opt results id with
       | Some r -> r
       | None -> invalid_arg ("Cart: missing aggregate " ^ id)
   in

@@ -53,7 +53,9 @@ val train :
 (** One compiled LMFAO batch per node. A node splits on the candidate of
     highest gain (ties by split description) when the gain exceeds
     [min_gain], it holds at least [min_samples] rows and is shallower than
-    [max_depth]. *)
+    [max_depth]. A node at [max_depth] is a leaf, so its batch holds only
+    the [total] side. [ml.cart.node_aggregates] counts the aggregates every
+    node requests. *)
 
 val train_flat :
   ('stat, 'tree) kind ->

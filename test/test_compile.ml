@@ -626,6 +626,43 @@ let dead_slot_elimination () =
   | plans ->
       Alcotest.failf "expected one rooted plan, got %d" (List.length plans)
 
+(* ---- allocation of the compiled scan ---- *)
+
+(* Minor words one [Compile.Engine.run] allocates per scanned tuple, after
+   a warm-up run. *)
+let run_words_per_tuple db batch =
+  let plan = Cengine.compile db batch in
+  ignore (Cengine.run plan db);
+  Obs.reset ();
+  let words, tuples =
+    Obs.with_enabled true (fun () ->
+        let before = Gc.minor_words () in
+        ignore (Cengine.run plan db);
+        ( Gc.minor_words () -. before,
+          Obs.counter_value_by_name "lmfao.compile.tuples_scanned" ))
+  in
+  Obs.reset ();
+  words /. float_of_int tuples
+
+(* Scalar slots run from the register file without allocating, so the
+   words a scan allocates per tuple (keys, probes, view rows) do not grow
+   with the number of scalar slots: the 528-aggregate covariance batch over
+   all 31 numeric Retailer features stays within 4 words per tuple of the
+   66-aggregate batch over 10 of them. *)
+let scalar_slots_do_not_allocate () =
+  let db = Datagen.Retailer.generate ~scale:0.05 ~seed:3 () in
+  let large = Batch.covariance_numeric (Feature.numeric Datagen.Retailer.features) in
+  let small = Batch.covariance_numeric Datagen.Retailer.ivm_features in
+  Alcotest.(check (pair int int)) "batch sizes" (528, 66)
+    (List.length large.Batch.aggregates, List.length small.Batch.aggregates);
+  let w_large = run_words_per_tuple db large in
+  let w_small = run_words_per_tuple db small in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words/tuple (528 aggregates) <= %.1f (66) + 4" w_large
+       w_small)
+    true
+    (w_large <= w_small +. 4.0)
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let () =
@@ -667,5 +704,10 @@ let () =
           qcheck passes_preserve_results;
           Alcotest.test_case "merge reduces slots" `Quick merge_reduces_slots;
           Alcotest.test_case "dead-slot elimination" `Quick dead_slot_elimination;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "scalar slots do not allocate per tuple" `Quick
+            scalar_slots_do_not_allocate;
         ] );
     ]

@@ -131,15 +131,8 @@ let test_ridge_shrinks () =
 
 (* ---- decision trees ---- *)
 
-let test_tree_db_equals_flat () =
-  let db = planted_db ~seed:5 ~noise:0.3 () in
-  let f = planted_features in
-  let thresholds = Ml.Cart.thresholds_of_db db f in
-  let params = { Ml.Decision_tree.default_params with max_depth = 3 } in
-  let t_db = Ml.Decision_tree.train ~params db f in
-  let join = Database.materialise_join db in
-  let t_flat = Ml.Decision_tree.train_flat ~params join f ~thresholds in
-  (* identical predictions on every join row *)
+(* identical predictions on every join row *)
+let same_regression_predictions t_db t_flat join =
   let schema = Relation.schema join in
   Relation.iter
     (fun t ->
@@ -149,6 +142,15 @@ let test_tree_db_equals_flat () =
       if Float.abs (p1 -. p2) > 1e-9 then
         Alcotest.failf "tree predictions differ: %g vs %g" p1 p2)
     join
+
+let test_tree_db_equals_flat () =
+  let db = planted_db ~seed:5 ~noise:0.3 () in
+  let f = planted_features in
+  let thresholds = Ml.Cart.thresholds_of_db db f in
+  let params = { Ml.Decision_tree.default_params with max_depth = 3 } in
+  let t_db = Ml.Decision_tree.train ~params db f in
+  let join = Database.materialise_join db in
+  same_regression_predictions t_db (Ml.Decision_tree.train_flat ~params join f ~thresholds) join
 
 let test_tree_beats_constant () =
   let db = planted_db ~seed:6 ~noise:0.3 () in
@@ -447,18 +449,7 @@ let test_classification_tree_learns () =
   let acc = Ml.Classification_tree.accuracy tree join ~class_attr:"label" in
   Alcotest.(check bool) (Printf.sprintf "accuracy %.3f > 0.95" acc) true (acc > 0.95)
 
-let test_classification_db_equals_flat () =
-  let db = classification_db ~seed:22 ~noise:0.1 in
-  let params = { Ml.Classification_tree.default_params with max_depth = 3 } in
-  let t_db =
-    Ml.Classification_tree.train ~params db ~class_attr:"label" cls_features
-  in
-  let join = Database.materialise_join db in
-  let thresholds = Ml.Cart.thresholds_of_db db cls_features in
-  let t_flat =
-    Ml.Classification_tree.train_flat ~params join ~class_attr:"label" cls_features
-      ~thresholds
-  in
+let same_class_predictions t_db t_flat join =
   let schema = Relation.schema join in
   Relation.iter
     (fun t ->
@@ -469,6 +460,19 @@ let test_classification_db_equals_flat () =
              (Ml.Classification_tree.predict t_db get)
              (Ml.Classification_tree.predict t_flat get))
       then Alcotest.fail "classification predictions diverge")
+    join
+
+let test_classification_db_equals_flat () =
+  let db = classification_db ~seed:22 ~noise:0.1 in
+  let params = { Ml.Classification_tree.default_params with max_depth = 3 } in
+  let t_db =
+    Ml.Classification_tree.train ~params db ~class_attr:"label" cls_features
+  in
+  let join = Database.materialise_join db in
+  let thresholds = Ml.Cart.thresholds_of_db db cls_features in
+  same_class_predictions t_db
+    (Ml.Classification_tree.train_flat ~params join ~class_attr:"label" cls_features
+       ~thresholds)
     join
 
 (* A tied class count at a leaf predicts the smallest class, whichever
@@ -504,6 +508,61 @@ let test_entropy_criterion_works () =
   let join = Database.materialise_join db in
   Alcotest.(check bool) "entropy accuracy > 0.95" true
     (Ml.Classification_tree.accuracy tree join ~class_attr:"label" > 0.95)
+
+(* ---- the CART grower ---- *)
+
+(* the tree a training run grows, and the aggregates its node batches
+   requested *)
+let node_aggregates train =
+  Obs.reset ();
+  let tree = Obs.with_enabled true train in
+  let n = Obs.counter_value_by_name "ml.cart.node_aggregates" in
+  Obs.reset ();
+  (tree, n)
+
+(* A node at [max_depth] is a leaf, so its batch holds only the total side:
+   a depth-1 tree requests the full node batch at its root and the total
+   side at each of its two leaves, whichever engine answers. *)
+let test_leaves_request_only_total () =
+  let db = planted_db ~seed:5 ~noise:0.3 () in
+  let join = Database.materialise_join db in
+  let f = planted_features in
+  let thresholds = Ml.Cart.thresholds_of_db db f in
+  let root = Ml.Decision_tree.node_specs ~path:Predicate.True f thresholds in
+  let params = { Ml.Decision_tree.default_params with max_depth = 1 } in
+  let t_db, n_db = node_aggregates (fun () -> Ml.Decision_tree.train ~params db f) in
+  let t_flat, n_flat =
+    node_aggregates (fun () -> Ml.Decision_tree.train_flat ~params join f ~thresholds)
+  in
+  Alcotest.(check int) "regression tree splits once" 3 (Ml.Decision_tree.size t_db);
+  (* the total side of a regression node is its (count, sum, sum2) triple *)
+  Alcotest.(check (pair int int)) "regression: root batch + 2 x 3 total"
+    (List.length root + 6, List.length root + 6)
+    (n_db, n_flat);
+  same_regression_predictions t_db t_flat join;
+  let db = classification_db ~seed:22 ~noise:0.1 in
+  let join = Database.materialise_join db in
+  let thresholds = Ml.Cart.thresholds_of_db db cls_features in
+  let root =
+    Ml.Classification_tree.node_specs ~path:Predicate.True ~class_attr:"label"
+      cls_features thresholds
+  in
+  let params = { Ml.Classification_tree.default_params with max_depth = 1 } in
+  let c_db, n_db =
+    node_aggregates (fun () ->
+        Ml.Classification_tree.train ~params db ~class_attr:"label" cls_features)
+  in
+  let c_flat, n_flat =
+    node_aggregates (fun () ->
+        Ml.Classification_tree.train_flat ~params join ~class_attr:"label" cls_features
+          ~thresholds)
+  in
+  Alcotest.(check int) "Gini tree splits once" 3 (Ml.Classification_tree.size c_db);
+  (* the total side of a classification node is one class count *)
+  Alcotest.(check (pair int int)) "Gini: root batch + 2 x 1 total"
+    (List.length root + 2, List.length root + 2)
+    (n_db, n_flat);
+  same_class_predictions c_db c_flat join
 
 (* ---- QR from moments ---- *)
 
@@ -774,6 +833,11 @@ let () =
           Alcotest.test_case "tied counts predict the smallest class" `Quick
             test_classification_tie_smallest_class;
           Alcotest.test_case "entropy criterion" `Quick test_entropy_criterion_works;
+        ] );
+      ( "cart",
+        [
+          Alcotest.test_case "leaves request only their total side" `Quick
+            test_leaves_request_only_total;
         ] );
       ( "qr",
         [
